@@ -1,37 +1,35 @@
-// Service-layer throughput: the sharded ingest pipeline vs single-threaded
-// text verification, and the prefix-sharded first-violation search vs the
-// sequential binary search.
+// Service-layer throughput: the ingest pipeline vs the monitor alone and
+// vs per-event feeding.
 //
-// BM_PipelineIngest measures the end-to-end ingest rate: tokenizing +
-// event decoding on N parse workers, the batched sharded monitor on the
-// applier thread. BM_MonitorFeedBatch isolates the monitor-only batched
-// path (parse excluded) across shard counts; BM_SingleThreadBaseline is
-// the old per-event floor: parse and feed(e) one event at a time.
+// BM_PipelineIngest measures the end-to-end ingest rate: tokenizing and
+// event decoding, then the batched sharded monitor, one chunk at a time
+// in the calling thread. BM_MonitorFeedBatch isolates the monitor-only
+// batched path (parse excluded) across shard counts;
+// BM_SingleThreadBaseline is the per-event floor: parse, then feed(e) one
+// event at a time.
 //
-// Measured on the dev machine, Release, 100k-event live run, events/sec.
-// NOTE: the dev container is single-CPU (nproc=1), so the shard sweep
-// below shows the *overhead* of the parallel derive machinery, not its
-// speedup — per-object derivation only overlaps on multi-core CI
-// runners. The >=2x gain over the PR 7 serial monitor (~1.21M ev/s in
-// this same harness) comes from the prescan/derive/apply batch rewrite
-// itself: lazy validation errors, slot pooling, and hash-map state.
+// Measured Release, 4 vCPUs at 2.1 GHz (a shared machine), 100k-event
+// live run, events/sec:
 //
-//   feed_batch, 1 shard                 ~3.19M
-//   feed_batch, 2 shards                ~2.87M
-//   feed_batch, 4 shards                ~2.65M  (>= 2x the ~1.21M PR 7
-//   feed_batch, 8 shards                ~2.02M   serial baseline)
-//   single-thread per-event feed        ~2.09M
-//   pipeline, 1 worker, 1 shard         ~2.20M
-//   pipeline, 2 workers, 4 shards       ~1.96M  (thread ping-pong on 1 CPU)
-//   pipeline 4 workers, GC off          ~1.19M  (the graph never shrinks)
+//   feed_batch, 1 shard                 ~3.02M
+//   feed_batch, 2 shards                ~1.91M
+//   feed_batch, 4 shards                ~1.88M
+//   feed_batch, 8 shards                ~1.56M
+//   single-thread per-event feed        ~1.98M
+//   pipeline, 1 shard                   ~1.84M
+//   pipeline, 4 shards                  ~1.28M
+//   pipeline, 1 shard, GC off           ~1.38M  (the graph never shrinks)
+//
+// More shards lose here: per-object derivation is a small share of a
+// chunk's work, and waking the worker gang costs more than it overlaps.
 //
 // GC ON being FASTER than GC off is the point of the subsystem: retirement
 // keeps the Pearce-Kelly graph at working-set size, so edge insertion
 // stays cheap while the GC-off graph drags ~33k nodes around by the end.
 //
 // GC is on in all ingest benchmarks (the production configuration); the
-// /gc0 variant isolates the contrast. CI archives the numbers as
-// BENCH_service.json next to BENCH_monitor.json.
+// /0/1 variant isolates the contrast. CI archives the numbers as a build
+// artifact; whole-run figures are in perfbench/README.md.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -39,8 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include "checker/engine.hpp"
-#include "checker/pool.hpp"
 #include "gen/generator.hpp"
 #include "history/parser.hpp"
 #include "history/printer.hpp"
@@ -84,15 +80,15 @@ const TraceFixture& live_trace(std::int64_t target_events) {
   return cache.emplace(target_events, std::move(fx)).first->second;
 }
 
-/// Pipeline ingest of a 100k-event trace. Arg 0: parse workers. Arg 1:
-/// GC on/off. Arg 2: monitor object shards (feed_batch derive width).
+/// Pipeline ingest of a 100k-event trace: parse and feed_batch per chunk,
+/// in the calling thread. Arg 0: GC on/off. Arg 1: monitor object shards
+/// (feed_batch derive width).
 void BM_PipelineIngest(benchmark::State& state) {
   const TraceFixture& fx = live_trace(100'000);
   for (auto _ : state) {
     duo::service::PipelineOptions opts;
-    opts.workers = static_cast<std::size_t>(state.range(0));
-    opts.monitor.gc = state.range(1) != 0;
-    opts.monitor.shards = static_cast<std::size_t>(state.range(2));
+    opts.monitor.gc = state.range(0) != 0;
+    opts.monitor.shards = static_cast<std::size_t>(state.range(1));
     duo::service::IngestPipeline pipeline(opts);
     for (const auto& chunk : fx.chunks) {
       const bool ok = pipeline.submit(std::string(chunk));
@@ -107,9 +103,8 @@ void BM_PipelineIngest(benchmark::State& state) {
                           static_cast<std::int64_t>(fx.events));
 }
 BENCHMARK(BM_PipelineIngest)
-    ->ArgsProduct({{1, 2, 4}, {1}, {1}})  // worker sweep, derive inline
-    ->ArgsProduct({{2}, {1}, {2, 4, 8}})  // shard sweep at 2 parse workers
-    ->Args({4, 0, 1})  // GC-off contrast at the widest worker count
+    ->ArgsProduct({{1}, {1, 2, 4, 8}})  // shard sweep, GC on
+    ->Args({0, 1})                      // GC-off contrast
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
@@ -178,47 +173,6 @@ void BM_SingleThreadBaseline(benchmark::State& state) {
                           static_cast<std::int64_t>(fx.events));
 }
 BENCHMARK(BM_SingleThreadBaseline)->Unit(benchmark::kMillisecond);
-
-/// Prefix-sharded first-violation search on a long history whose single
-/// violation sits near the end (the worst case for a sequential binary
-/// search's early probes). Arg: shard count.
-void BM_LocateFirstViolation(benchmark::State& state) {
-  static History* bad = [] {
-    History h = duo::gen::deterministic_live_run(20'000, 4, 8);
-    auto events = h.events();
-    // Corrupt one read response near the end: a value nobody writes.
-    for (std::size_t i = events.size() - 1; i > 0; --i) {
-      auto& e = events[i];
-      if (e.is_response() && e.op == duo::history::OpKind::kRead &&
-          !e.aborted) {
-        e.value = 999'999'999;
-        break;
-      }
-    }
-    auto made = History::make(std::move(events), h.num_objects());
-    DUO_ASSERT(made.has_value());
-    return new History(std::move(made).value());
-  }();
-  duo::checker::PoolOptions popts;
-  popts.num_threads = 4;
-  const duo::checker::CheckerPool pool(popts);
-  std::optional<std::size_t> index;
-  for (auto _ : state) {
-    index = pool.locate_first_violation(
-        *bad, static_cast<std::size_t>(state.range(0)));
-    benchmark::DoNotOptimize(index);
-  }
-  DUO_ASSERT(index.has_value());
-  DUO_ASSERT(index == duo::checker::first_bad_prefix(
-                          *bad, duo::checker::Criterion::kDuOpacity));
-}
-BENCHMARK(BM_LocateFirstViolation)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 }  // namespace
 

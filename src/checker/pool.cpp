@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <optional>
 
-#include "util/assert.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/threading.hpp"
@@ -58,57 +56,6 @@ class WorkQueue {
 
 CheckerPool::CheckerPool(const PoolOptions& opts)
     : opts_(opts), num_threads_(util::resolve_threads(opts.num_threads)) {}
-
-std::optional<std::size_t> CheckerPool::locate_first_violation(
-    const history::History& h, std::size_t shards) const {
-  // Monotone boundary verdicts — the bracketing step below — exist exactly
-  // for prefix-closed criteria (du-opacity by the paper's Corollary 2,
-  // opacity by definition); anything else would bracket garbage.
-  DUO_ASSERT(opts_.criterion == Criterion::kDuOpacity ||
-             opts_.criterion == Criterion::kOpacity);
-  const std::size_t n = h.size();
-  if (n == 0) return std::nullopt;
-  if (shards == 0) shards = num_threads_;
-  shards = std::max<std::size_t>(1, std::min(shards, n));
-
-  // Phase 1: judge `shards` prefix boundaries concurrently. Boundary i is
-  // the prefix of length n*(i+1)/shards (the last is the whole history).
-  std::vector<std::size_t> boundary(shards);
-  for (std::size_t i = 0; i < shards; ++i)
-    boundary[i] = n * (i + 1) / shards;
-  std::vector<char> rejected(shards, 0);
-  util::run_threads(shards, [&](std::size_t i) {
-    rejected[i] =
-        check_criterion(h.prefix(boundary[i]), opts_.criterion, opts_.check)
-                .no()
-            ? 1
-            : 0;
-  });
-
-  // First rejected boundary; an undecided probe counts as not-rejected, so
-  // as with first_bad_prefix the result is the first *provably* bad prefix.
-  std::size_t bad = shards;
-  for (std::size_t i = 0; i < shards; ++i) {
-    if (rejected[i] != 0) {
-      bad = i;
-      break;
-    }
-  }
-  if (bad == shards) return std::nullopt;
-
-  // Phase 2: binary search inside the bracket. Invariant: the prefix of
-  // length hi is rejected; no probe of length < lo was.
-  std::size_t lo = (bad == 0 ? 0 : boundary[bad - 1]) + 1;
-  std::size_t hi = boundary[bad];
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (check_criterion(h.prefix(mid), opts_.criterion, opts_.check).no())
-      hi = mid;
-    else
-      lo = mid + 1;
-  }
-  return hi - 1;  // 0-based index of the rejected prefix's last event
-}
 
 std::vector<CheckResult> CheckerPool::check_batch(
     const std::vector<history::History>& histories) const {

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "checker/du_opacity.hpp"
@@ -42,20 +41,6 @@ class CheckerPool {
   /// verdict for histories[i], regardless of scheduling.
   std::vector<CheckResult> check_batch(
       const std::vector<history::History>& histories) const;
-
-  /// First-violation index of ONE huge history, parallelized by prefix
-  /// sharding: the event range is cut into `shards` prefix boundaries
-  /// (0 means one per worker) checked concurrently; the criterion's prefix
-  /// closure makes the boundary verdicts monotone (kYes* then kNo*), so
-  /// the first rejected boundary brackets the violation and a binary
-  /// search inside that bracket pins the exact event. Returns the same
-  /// 0-based index as checker::first_bad_prefix (nullopt when no prefix is
-  /// provably rejected), at ~1/shards of its critical-path depth.
-  ///
-  /// Sound only for prefix-closed criteria; any other configured criterion
-  /// is rejected with a DUO_ASSERT.
-  std::optional<std::size_t> locate_first_violation(
-      const history::History& h, std::size_t shards = 0) const;
 
  private:
   PoolOptions opts_;

@@ -1,5 +1,5 @@
 // Long-running verification daemon: tail a growing trace file through the
-// sharded ingest pipeline indefinitely, with bounded memory and live stats.
+// ingest pipeline indefinitely, with bounded memory and live stats.
 //
 // Two pieces:
 //
@@ -13,9 +13,10 @@
 //   reports inconclusive, never a confident "yes" (a latched violation
 //   stands either way, by prefix closure).
 //
-//   MonitorDaemon — the duo_mond core: FollowReader -> IngestPipeline with
-//   GC defaulted on, periodic stats snapshots (text or JSON lines; schema
-//   in docs/service.md), and a final verdict flush when the input ends, an
+//   MonitorDaemon — the duo_mond core: one loop of FollowReader::poll ->
+//   IngestPipeline::submit in the calling thread, with GC defaulted on,
+//   periodic stats snapshots (text or JSON lines; schema in
+//   docs/service.md), and a final verdict flush when the input ends, an
 //   idle cutoff expires, or a stop flag flips (the tool's SIGINT/SIGTERM
 //   handler sets a volatile sig_atomic_t it hands in here — handlers must
 //   not touch the pipeline themselves).

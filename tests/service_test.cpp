@@ -1,12 +1,10 @@
 // Tests for the production monitor service layer (src/service/):
 //
 //   - IngestPipeline: verdicts and first-violation indices must be
-//     independent of the worker count and chunking, and must equal a plain
-//     OnlineMonitor fed the same events in one thread — the reorder ring
-//     is what makes parallel parsing invisible to the serial monitor.
-//   - CheckerPool::locate_first_violation: the prefix-sharded parallel
-//     search must return exactly checker::first_bad_prefix for every shard
-//     count.
+//     independent of chunking and monitor shard count, and must equal a
+//     plain OnlineMonitor fed the same events one at a time; a latch, a
+//     parse error or a bad objects= declaration stops it at the submit
+//     that carries it.
 //   - FollowReader: token-boundary chunking, idle cutoff, stop flag, and
 //     the rotation/truncation terminal states.
 //   - run_daemon: end-to-end over real files, including the inconclusive
@@ -23,8 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "checker/engine.hpp"
-#include "checker/pool.hpp"
 #include "gen/generator.hpp"
 #include "history/parser.hpp"
 #include "history/printer.hpp"
@@ -63,13 +59,12 @@ std::vector<std::string> chunk_tokens(const std::string& text,
 }
 
 /// Feeds `h` (as text, in `tokens_per_chunk` chunks) through a pipeline
-/// with `workers` workers and checks the outcome against a single-threaded
-/// OnlineMonitor fed the same events.
+/// over `shards` monitor shards and checks the outcome against a plain
+/// OnlineMonitor fed the same events one at a time.
 void expect_pipeline_matches_monitor(const history::History& h,
-                                     std::size_t workers,
                                      std::size_t tokens_per_chunk,
-                                     const std::string& label,
-                                     std::size_t shards = 1) {
+                                     std::size_t shards,
+                                     const std::string& label) {
   monitor::MonitorOptions mopts;
   mopts.gc = true;
   mopts.gc_retain_events = 64;
@@ -81,8 +76,6 @@ void expect_pipeline_matches_monitor(const history::History& h,
   }
 
   PipelineOptions popts;
-  popts.workers = workers;
-  popts.ring_capacity = 8;  // small: exercises producer back-pressure
   popts.monitor = mopts;
   popts.monitor.shards = shards;
   IngestPipeline pipeline(popts);
@@ -96,7 +89,10 @@ void expect_pipeline_matches_monitor(const history::History& h,
   EXPECT_EQ(r.first_violation, ref.first_violation()) << label;
 }
 
-TEST(IngestPipeline, MatchesSingleThreadedMonitorAcrossWorkerCounts) {
+TEST(IngestPipeline, MatchesPerEventMonitorAcrossChunkingsAndShards) {
+  // Chunks reach the monitor via feed_batch, one batch per chunk, so this
+  // holds both chunking invariance and the monitor-internal shard sweep
+  // through the whole service stack.
   util::Xoshiro256 rng(7);
   gen::GenOptions opts;
   opts.num_txns = 10;
@@ -104,62 +100,39 @@ TEST(IngestPipeline, MatchesSingleThreadedMonitorAcrossWorkerCounts) {
   for (int i = 0; i < 30; ++i) {
     const history::History h = i % 2 == 0 ? gen::random_du_history(opts, rng)
                                           : gen::random_history(opts, rng);
-    for (const std::size_t workers : {1u, 2u, 4u}) {
-      for (const std::size_t per_chunk : {1u, 3u, 64u}) {
+    for (const std::size_t per_chunk : {1u, 3u, 64u}) {
+      for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
         std::ostringstream label;
-        label << "history " << i << " workers=" << workers
-              << " per_chunk=" << per_chunk;
-        expect_pipeline_matches_monitor(h, workers, per_chunk, label.str());
-      }
-    }
-  }
-}
-
-TEST(IngestPipeline, MatchesSingleThreadedMonitorAcrossShardCounts) {
-  // The parse-worker sweep above holds chunking invariance; this one holds
-  // the monitor-internal shard sweep through the whole service stack
-  // (chunks reach the monitor via feed_batch, one batch per parsed chunk).
-  util::Xoshiro256 rng(19);
-  gen::GenOptions opts;
-  opts.num_txns = 10;
-  opts.num_objects = 3;
-  for (int i = 0; i < 15; ++i) {
-    const history::History h = i % 2 == 0 ? gen::random_du_history(opts, rng)
-                                          : gen::random_history(opts, rng);
-    for (const std::size_t shards : {2u, 4u, 8u}) {
-      for (const std::size_t per_chunk : {3u, 64u}) {
-        std::ostringstream label;
-        label << "history " << i << " shards=" << shards
-              << " per_chunk=" << per_chunk;
-        expect_pipeline_matches_monitor(h, /*workers=*/2, per_chunk,
-                                        label.str(), shards);
+        label << "history " << i << " per_chunk=" << per_chunk
+              << " shards=" << shards;
+        expect_pipeline_matches_monitor(h, per_chunk, shards, label.str());
       }
     }
   }
 }
 
 TEST(IngestPipeline, RefusesChunksOnceLatched) {
-  PipelineOptions popts;
-  popts.workers = 2;
-  IngestPipeline pipeline(popts);
-  // Figure 3's shape: T2 reads T1's value before T1 invoked tryC.
-  ASSERT_TRUE(pipeline.submit("W1(X0,1) R2(X0)=1 C1 C2 "));
-  // The applier latches asynchronously; once it has, submit must refuse.
-  for (int i = 0; i < 10'000; ++i) {
-    if (!pipeline.submit("W9(X1,9) ")) break;
-    std::this_thread::yield();
-  }
+  IngestPipeline pipeline;
+  // Figure 3's shape: T2 reads T1's value before T1 invoked tryC. Event
+  // index 3 (0-based) is T2's read response, carried by the second chunk.
+  EXPECT_TRUE(pipeline.submit("W1(X0,1) "));   // events 0-1
+  EXPECT_FALSE(pipeline.submit("R2(X0)=1 "));  // events 2-3: latches
+  EXPECT_FALSE(pipeline.submit("C1 "));
+  EXPECT_FALSE(pipeline.submit("C2 "));
   const PipelineResult r = pipeline.finish();
   EXPECT_EQ(r.verdict, Verdict::kNo);
   ASSERT_TRUE(r.first_violation.has_value());
-  EXPECT_EQ(*r.first_violation, 3u);  // T2's read response, 0-based
+  EXPECT_EQ(*r.first_violation, 3u);
+  EXPECT_EQ(r.events, 4u);
+  ASSERT_TRUE(r.violating_event.has_value());
+  EXPECT_EQ(history::to_string(*r.violating_event), "resp R2(X0)->1");
   EXPECT_FALSE(pipeline.submit("W9(X1,9) "));  // after finish: refused
 }
 
 TEST(IngestPipeline, SurfacesParseErrors) {
   IngestPipeline pipeline;
-  pipeline.submit("W1(X0,1) C1 ");
-  pipeline.submit("this is not a trace ");
+  EXPECT_TRUE(pipeline.submit("W1(X0,1) C1 "));
+  EXPECT_FALSE(pipeline.submit("this is not a trace "));
   const PipelineResult r = pipeline.finish();
   EXPECT_TRUE(r.error);
   EXPECT_NE(r.explanation.find("parse error"), std::string::npos)
@@ -168,8 +141,8 @@ TEST(IngestPipeline, SurfacesParseErrors) {
 
 TEST(IngestPipeline, SurfacesObjectDeclarationViolations) {
   IngestPipeline pipeline;
-  pipeline.submit("objects=1 ");
-  pipeline.submit("W1(X3,1) C1 ");
+  EXPECT_TRUE(pipeline.submit("objects=1 "));
+  EXPECT_FALSE(pipeline.submit("W1(X3,1) C1 "));
   const PipelineResult r = pipeline.finish();
   EXPECT_TRUE(r.error);
   EXPECT_NE(r.explanation.find("objects="), std::string::npos)
@@ -178,7 +151,7 @@ TEST(IngestPipeline, SurfacesObjectDeclarationViolations) {
 
 TEST(IngestPipeline, PropagatesTheTruncatedMarker) {
   IngestPipeline pipeline;
-  pipeline.submit("truncated W1(X0,1) C1 ");
+  EXPECT_TRUE(pipeline.submit("truncated W1(X0,1) C1 "));
   const PipelineResult r = pipeline.finish();
   EXPECT_FALSE(r.error);
   EXPECT_TRUE(r.truncated);
@@ -189,7 +162,7 @@ TEST(IngestPipeline, SnapshotReflectsAppliedWork) {
   PipelineOptions popts;
   popts.monitor.gc = true;
   IngestPipeline pipeline(popts);
-  pipeline.submit("W1(X0,1) C1 R2(X0)=1 C2 ");
+  EXPECT_TRUE(pipeline.submit("W1(X0,1) C1 R2(X0)=1 C2 "));
   const PipelineResult r = pipeline.finish();
   ASSERT_FALSE(r.error);
   const PipelineSnapshot s = pipeline.snapshot();
@@ -197,32 +170,6 @@ TEST(IngestPipeline, SnapshotReflectsAppliedWork) {
   EXPECT_EQ(s.chunks, 1u);
   EXPECT_EQ(s.verdict, Verdict::kYes);
   EXPECT_EQ(r.events, 8u);
-}
-
-TEST(CheckerPoolSharding, LocateFirstViolationMatchesFirstBadPrefix) {
-  util::Xoshiro256 rng(2026);
-  gen::GenOptions opts;
-  opts.num_txns = 8;
-  opts.num_objects = 3;
-  checker::PoolOptions popts;
-  popts.num_threads = 4;
-  const checker::CheckerPool pool(popts);
-  int violating = 0;
-  for (int i = 0; i < 40; ++i) {
-    history::History h = gen::random_history(opts, rng);
-    const auto expected = checker::first_bad_prefix(
-        h, checker::Criterion::kDuOpacity, popts.check);
-    if (expected.has_value()) ++violating;
-    for (const std::size_t shards : {1u, 2u, 3u, 5u}) {
-      EXPECT_EQ(pool.locate_first_violation(h, shards), expected)
-          << "history " << i << " shards=" << shards;
-    }
-    // 0 = one shard per worker.
-    EXPECT_EQ(pool.locate_first_violation(h), expected) << "history " << i;
-  }
-  // The sweep must exercise both outcomes to mean anything.
-  EXPECT_GT(violating, 0);
-  EXPECT_LT(violating, 40);
 }
 
 class ServiceFiles : public ::testing::Test {

@@ -3,6 +3,7 @@
 // STMs, and du-opacity of recorded runs.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "checker/du_opacity.hpp"
@@ -172,29 +173,37 @@ TEST(TxQueue, ConcurrentProducersConsumersConserveElements) {
     if (tid < 2) {  // producers
       for (int i = 0; i < kPerProducer; ++i) {
         const Value v = static_cast<Value>(tid * 10000 + i + 1);
-        bool done = false;
-        while (!done) {
-          stm::atomically(stm, [&](stm::Transaction& tx) {
-            const auto r = q.enqueue(tx, v);
-            if (!r.has_value()) return Step::kRetry;
-            done = *r;
-            return Step::kCommit;
-          });
+        // atomically re-runs the body after an abort, so each attempt
+        // resets its outcome and only a committed attempt's counts.
+        bool enqueued = false;
+        while (!enqueued) {
+          const bool committed =
+              stm::atomically(stm, [&](stm::Transaction& tx) {
+                enqueued = false;
+                const auto r = q.enqueue(tx, v);
+                if (!r.has_value()) return Step::kRetry;
+                enqueued = *r;
+                return Step::kCommit;
+              });
+          enqueued = committed && enqueued;
         }
       }
     } else {  // consumers
       int drained = 0;
       while (drained < kPerProducer) {
-        stm::atomically(stm, [&](stm::Transaction& tx) {
+        std::optional<Value> got;
+        const bool committed = stm::atomically(stm, [&](stm::Transaction& tx) {
+          got.reset();
           const auto r = q.dequeue(tx);
           if (!r.has_value()) return Step::kRetry;
-          if (r->has_value()) {
-            consumed_sum.fetch_add(**r);
-            consumed_count.fetch_add(1);
-            ++drained;
-          }
+          got = *r;
           return Step::kCommit;
         });
+        if (committed && got.has_value()) {
+          consumed_sum.fetch_add(*got);
+          consumed_count.fetch_add(1);
+          ++drained;
+        }
       }
     }
   });

@@ -23,12 +23,12 @@
 // traces are checked concurrently through a CheckerPool and one verdict
 // line is printed per trace, in input order, followed by a summary.
 //
-// Streaming (--stream): events are read line by line from stdin or a file
-// and fed to an OnlineMonitor, which maintains the du-opacity verdict
-// incrementally and latches at the first violating event (sound because
-// du-opacity is prefix-closed, paper Corollary 2). With --follow the file
-// is polled for growth, so a live run writing its trace can be watched as
-// it executes.
+// Streaming (--stream): stdin or a file is submitted line by line to a
+// service::IngestPipeline (the loop duo_mond runs), whose OnlineMonitor
+// maintains the du-opacity verdict incrementally and latches at the first
+// violating event (sound because du-opacity is prefix-closed, paper
+// Corollary 2). With --follow the file is polled for growth, so a live run
+// writing its trace can be watched as it executes.
 //
 // Usage:
 //   duo_check trace.txt
@@ -62,7 +62,7 @@
 //   --idle-ms N       --follow/--serve idle cutoff in milliseconds
 //                     (default 2000; 0 follows forever)
 //   --serve           duo_mond in-process: follow the file through the
-//                     sharded ingest pipeline with monitor GC on, stats to
+//                     ingest pipeline with monitor GC on, stats to
 //                     stderr, final verdict flushed on SIGINT/SIGTERM or
 //                     the idle cutoff (see src/service/daemon.hpp)
 //   --shards N        monitor object shards for --stream/--serve (default
@@ -96,7 +96,6 @@
 #include "checker/verdict.hpp"
 #include "history/parser.hpp"
 #include "history/printer.hpp"
-#include "monitor/monitor.hpp"
 #include "service/daemon.hpp"
 #include "stm/registry.hpp"
 #include "util/table.hpp"
@@ -133,7 +132,7 @@ struct Options {
   bool follow = false;
   std::uint64_t idle_ms = 2000;
   // Service mode (--serve): the duo_mond daemon loop in-process — follow
-  // the file through the sharded ingest pipeline with monitor GC on.
+  // the file through the ingest pipeline with monitor GC on.
   bool serve = false;
   // Monitor object shards for --stream/--serve (1 = serial derive,
   // 0 = one per hardware thread). Verdicts are identical for every value.
@@ -149,7 +148,7 @@ void print_usage(std::FILE* out) {
                "<trace-file|directory|->...\n"
                "       duo_check --stream [--follow] [--idle-ms N] "
                "[--shards N] <trace-file|->\n"
-               "       duo_check --serve [--jobs N] [--idle-ms N] "
+               "       duo_check --serve [--idle-ms N] "
                "[--shards N] [--max-chunk BYTES] "
                "<trace-file>   (duo_mond in-process; --idle-ms 0 follows "
                "forever)\n"
@@ -478,76 +477,20 @@ bool parse_args(int argc, char** argv, Options& opts) {
   return expand_inputs(raw_inputs, opts);
 }
 
-/// Incremental monitoring (--stream): parse events line by line, feed them
-/// to an OnlineMonitor, and stop at the first violating event — sound
+/// Incremental monitoring (--stream): submit the input line by line (or,
+/// with --follow, chunk by chunk) to a service::IngestPipeline, the same
+/// loop duo_mond runs, and stop at the first violating event — sound
 /// because du-opacity is prefix-closed, so the latched "no" covers every
 /// extension of the stream. With --follow, EOF on the file is treated as
 /// "not written yet" until the input stops growing for opts.idle_ms.
 int check_stream(const Options& opts) {
   using duo::checker::Verdict;
   const std::string& path = opts.inputs[0];
-  const bool from_stdin = path == "-";
-  std::ifstream file;
-  if (!from_stdin && !opts.follow) {  // --follow opens via FollowReader
-    file.open(path);
-    if (!file) {
-      std::fprintf(stderr, "duo_check: cannot read %s\n", path.c_str());
-      return 1;
-    }
-  }
-  std::istream& in = from_stdin ? std::cin : file;
-
-  duo::monitor::MonitorOptions mopts;
-  mopts.node_budget = opts.node_budget;
-  mopts.engine = opts.engine;
-  mopts.shards = opts.shards;
-  duo::monitor::OnlineMonitor mon(mopts);
-
-  // `objects=N` declarations are honored across lines exactly like the
-  // offline parser honors them across tokens: the latest declaration wins
-  // and an object id at or beyond it is an input error.
-  duo::history::ObjId declared_objects = -1;
-  duo::history::ObjId max_obj = -1;
-  bool truncated = false;
-  const auto feed_tokens = [&](const std::string& text) -> int {
-    auto parsed = duo::history::parse_events(text);
-    if (!parsed) {
-      std::fprintf(stderr, "duo_check: parse error: %s\n",
-                   parsed.error().c_str());
-      return 1;
-    }
-    if (parsed.value().declared_objects >= 0)
-      declared_objects = parsed.value().declared_objects;
-    truncated = truncated || parsed.value().truncated;
-    max_obj = std::max(max_obj, parsed.value().max_obj);
-    if (declared_objects >= 0 && max_obj >= declared_objects) {
-      std::fprintf(stderr,
-                   "duo_check: objects= declares fewer objects than used\n");
-      return 1;
-    }
-    // Whole chunks go through the sharded batch path (prescan -> parallel
-    // per-object derive -> serial graph apply); verdicts and violation
-    // indices are identical to per-event feeding.
-    const auto& events = parsed.value().events;
-    const auto fed = mon.feed_batch(events.data(), events.size());
-    if (!fed.error.empty()) {
-      std::fprintf(stderr, "duo_check: malformed event stream: %s\n",
-                   fed.error.c_str());
-      return 1;
-    }
-    if (mon.verdict() == Verdict::kNo) {
-      // first_violation() is a 0-based index; event numbering in human
-      // output is 1-based (the monitor and the batch first_bad_prefix
-      // query share the 0-based convention). The latching event is the
-      // last one the batch consumed.
-      std::printf("VIOLATION at event %zu (%s): %s\n",
-                  *mon.first_violation() + 1,
-                  duo::history::to_string(events[fed.consumed - 1]).c_str(),
-                  mon.explanation().c_str());
-      return 2;
-    }
-    return 0;
-  };
+  duo::service::PipelineOptions popts;
+  popts.monitor.node_budget = opts.node_budget;
+  popts.monitor.engine = opts.engine;
+  popts.monitor.shards = opts.shards;
+  duo::service::IngestPipeline pipeline(popts);
 
   // --follow delegates the tailing to service::FollowReader: exponential-
   // backoff polling (1ms..250ms) instead of a fixed-period spin, token-
@@ -563,10 +506,9 @@ int check_stream(const Options& opts) {
     std::string chunk;
     for (bool reading = true; reading;) {
       switch (reader.poll(chunk)) {
-        case duo::service::FollowStatus::kData: {
-          if (const int rc = feed_tokens(chunk); rc != 0) return rc;
+        case duo::service::FollowStatus::kData:
+          reading = pipeline.submit(std::move(chunk));
           break;
-        }
         case duo::service::FollowStatus::kError:
           std::fprintf(stderr, "duo_check: %s\n", reader.error().c_str());
           return 1;
@@ -585,21 +527,43 @@ int check_stream(const Options& opts) {
       }
     }
   } else {
-    std::string line;
-    while (std::getline(in, line)) {
-      if (const int rc = feed_tokens(line); rc != 0) return rc;
+    std::ifstream file;
+    if (path != "-") {
+      file.open(path);
+      if (!file) {
+        std::fprintf(stderr, "duo_check: cannot read %s\n", path.c_str());
+        return 1;
+      }
     }
-  }
-  if (follow_cut != nullptr && mon.verdict() == Verdict::kYes) {
-    std::printf("stream inconclusive after %zu events: trace file %s, so "
-                "the clean verdict covers only the consumed prefix\n",
-                mon.stats().events, follow_cut);
-    return 2;
+    std::istream& in = path == "-" ? std::cin : file;
+    std::string line;
+    while (std::getline(in, line))
+      if (!pipeline.submit(std::move(line))) break;
   }
 
-  const auto& stats = mon.stats();
-  if (mon.verdict() == Verdict::kYes) {
-    if (truncated) {
+  const auto r = pipeline.finish();
+  const auto& stats = r.monitor;
+  if (r.error) {
+    std::fprintf(stderr, "duo_check: %s\n", r.explanation.c_str());
+    return 1;
+  }
+  if (r.verdict == Verdict::kNo) {
+    // first_violation is a 0-based index; event numbering in human output
+    // is 1-based (the monitor and the batch first_bad_prefix query share
+    // the 0-based convention).
+    std::printf("VIOLATION at event %zu (%s): %s\n", *r.first_violation + 1,
+                duo::history::to_string(*r.violating_event).c_str(),
+                r.explanation.c_str());
+    return 2;
+  }
+  if (follow_cut != nullptr && r.verdict == Verdict::kYes) {
+    std::printf("stream inconclusive after %zu events: trace file %s, so "
+                "the clean verdict covers only the consumed prefix\n",
+                stats.events, follow_cut);
+    return 2;
+  }
+  if (r.verdict == Verdict::kYes) {
+    if (r.truncated) {
       std::printf("stream inconclusive after %zu events: trace marked "
                   "truncated, so the clean verdict covers only the recorded "
                   "prefix (a violation would still have latched)\n",
@@ -622,9 +586,9 @@ int check_stream(const Options& opts) {
 }
 
 /// --serve: the duo_mond daemon loop in-process — follow the file through
-/// the sharded ingest pipeline with monitor GC on, periodic stats to
-/// stderr, final verdict on stdout. SIGINT/SIGTERM trigger the orderly
-/// drain + verdict flush instead of killing the process mid-check.
+/// the ingest pipeline with monitor GC on, periodic stats to stderr, final
+/// verdict on stdout. SIGINT/SIGTERM trigger the orderly verdict flush
+/// instead of killing the process mid-check.
 int check_serve(const Options& opts) {
   duo::service::DaemonOptions dopts;
   dopts.trace_path = opts.inputs[0];
@@ -632,7 +596,6 @@ int check_serve(const Options& opts) {
   dopts.follow.stop = &g_stop;
   if (opts.max_chunk_bytes != 0)
     dopts.follow.max_chunk_bytes = opts.max_chunk_bytes;
-  dopts.pipeline.workers = opts.jobs;
   dopts.pipeline.monitor.gc = true;
   dopts.pipeline.monitor.node_budget = opts.node_budget;
   dopts.pipeline.monitor.engine = opts.engine;

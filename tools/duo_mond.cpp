@@ -2,11 +2,11 @@
 //
 // Tails a growing trace file (the compact format of src/history/parser.hpp)
 // indefinitely and maintains the du-opacity verdict online with bounded
-// memory: events flow through the sharded ingest pipeline
-// (src/service/pipeline.hpp) into an OnlineMonitor with settled-prefix
-// garbage collection on, so resident state tracks the number of LIVE
-// transactions, not the length of the trace. Suitable for watching a
-// production STM's recorder output for hours.
+// memory: each chunk read is parsed and fed, in this one thread, through
+// the ingest pipeline (src/service/pipeline.hpp) into an OnlineMonitor
+// with settled-prefix garbage collection on, so resident state tracks the
+// number of LIVE transactions, not the length of the trace. Suitable for
+// watching a production STM's recorder output for hours.
 //
 // Behavior:
 //   - Follows the file with exponential-backoff polling (1ms..250ms).
@@ -15,14 +15,14 @@
 //     graph nodes/edges, pending-edge and non-unique-writes debt, GC
 //     passes, peak RSS. --json switches to JSON lines (schema in
 //     docs/service.md).
-//   - On SIGINT/SIGTERM, stops reading, drains in-flight chunks, and
-//     flushes a final verdict before exiting.
+//   - On SIGINT/SIGTERM, stops reading and flushes a final verdict before
+//     exiting.
 //   - File rotation or truncation ends the run as inconclusive: what came
 //     after the consumed prefix is unknowable (a latched violation still
 //     stands, by prefix closure — Corollary 2).
 //
 // Usage:
-//   duo_mond trace.txt [--workers N] [--shards N] [--gc-retain N] [--no-gc]
+//   duo_mond trace.txt [--shards N] [--gc-retain N] [--no-gc]
 //            [--stats-interval-ms N] [--json] [--idle-ms N] [--budget N]
 //            [--max-chunk BYTES]
 //
@@ -52,7 +52,7 @@ void handle_stop(int) { g_stop = 1; }
 
 void print_usage(std::FILE* out) {
   std::fprintf(out,
-               "usage: duo_mond <trace-file> [--workers N] [--shards N] "
+               "usage: duo_mond <trace-file> [--shards N] "
                "[--gc-retain N] [--no-gc] [--stats-interval-ms N] [--json] "
                "[--idle-ms N] [--budget N] [--max-chunk BYTES]\n"
                "tails a growing trace and maintains the du-opacity verdict "
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       opts.pipeline.monitor.gc = false;
       continue;
     }
-    if (arg == "--workers" || arg == "--shards" || arg == "--gc-retain" ||
+    if (arg == "--shards" || arg == "--gc-retain" ||
         arg == "--stats-interval-ms" || arg == "--idle-ms" ||
         arg == "--budget" || arg == "--max-chunk") {
       if (i + 1 >= argc) {
@@ -102,9 +102,7 @@ int main(int argc, char** argv) {
                      argv[i]);
         return 1;
       }
-      if (arg == "--workers") {
-        opts.pipeline.workers = static_cast<std::size_t>(value);
-      } else if (arg == "--shards") {
+      if (arg == "--shards") {
         opts.pipeline.monitor.shards = static_cast<std::size_t>(value);
       } else if (arg == "--max-chunk") {
         if (value == 0) {
@@ -140,7 +138,7 @@ int main(int argc, char** argv) {
   }
 
   // Handlers only flip the flag; the daemon loop notices it at its next
-  // poll and performs the orderly drain + final verdict flush itself.
+  // poll and performs the final verdict flush itself.
   opts.follow.stop = &g_stop;
   std::signal(SIGINT, handle_stop);
   std::signal(SIGTERM, handle_stop);

@@ -21,14 +21,12 @@ Enforced conventions:
    load-bearing for every randomized test and generator in this repo, and
    rand() is additionally unsynchronized global state (concurrency-mt-unsafe).
 
-3. No raw std::thread outside src/util/ and src/service/. Every thread must
-   be a util::ScopedThread (join-on-destroy — a thrown exception or early
+3. No raw std::thread outside src/util/. Every thread must be a
+   util::ScopedThread (join-on-destroy — a thrown exception or early
    return cannot leave a joinable thread to terminate the process), spawned
    through util::run_threads, or owned by a util::WorkerGang
    (src/util/threading.hpp). std::this_thread::* is fine — the ban is on
-   owning the thread handle, not on being on a thread. src/service/ keeps
-   the exemption because the pipeline/daemon own long-lived threads with
-   shutdown protocols that ScopedThread's join-on-destroy would deadlock.
+   owning the thread handle, not on being on a thread.
 
 Usage: python3 tools/lint/check_conventions.py [repo_root]
 Exits 1 with file:line diagnostics on any violation.
@@ -56,9 +54,8 @@ RAW_SYNC = re.compile(
 )
 BANNED_RANDOM = re.compile(r"(?<![\w:.])s?rand\s*\(|std::random_device\b")
 
-# src/util owns the ScopedThread/WorkerGang wrappers; src/service owns
-# long-lived pipeline/daemon threads with explicit shutdown protocols.
-RAW_THREAD_EXEMPT = re.compile(r"^src/(util|service)/")
+# src/util owns the ScopedThread/WorkerGang wrappers.
+RAW_THREAD_EXEMPT = re.compile(r"^src/util/")
 
 # std::thread the type; std::this_thread:: (sleep_for/yield) never matches
 # because "thread" there is preceded by "this_", not "::".

@@ -1302,7 +1302,7 @@ class BannedRandomCheck(_ConventionsCheck):
 
 class RawThreadCheck(_ConventionsCheck):
     name = "raw-thread"
-    description = ("bans raw std::thread outside src/util/ and src/service/ "
+    description = ("bans raw std::thread outside src/util/ "
                    "(threads must join on every exit path)")
     pattern = conventions.RAW_THREAD
     exempt = conventions.RAW_THREAD_EXEMPT

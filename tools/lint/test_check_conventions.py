@@ -122,9 +122,9 @@ class ConventionsTest(unittest.TestCase):
     def test_util_exempt_from_sync_ban(self):
         self.assertEqual(run_on("std::mutex m;\n", rel="src/util/m.hpp"), [])
 
-    def test_service_exempt_from_thread_ban_only(self):
-        self.assertEqual(
-            run_on("std::thread t;\n", rel="src/service/p.cpp"), [])
+    def test_service_not_exempt_from_thread_ban(self):
+        out = run_on("std::thread t;\n", rel="src/service/p.cpp")
+        self.assertEqual(len(out), 1)
         out = run_on("std::mutex m;\n", rel="src/service/p.cpp")
         self.assertEqual(len(out), 1)
 

@@ -6,7 +6,7 @@
 //   - opacity fast path vs naive (non-unique-write corpora).
 #include <benchmark/benchmark.h>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/fast_reject.hpp"
 #include "checker/opacity.hpp"
 #include "checker/search.hpp"

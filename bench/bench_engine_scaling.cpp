@@ -24,7 +24,6 @@
 #include <map>
 #include <vector>
 
-#include "checker/du_opacity.hpp"
 #include "checker/engine.hpp"
 #include "gen/generator.hpp"
 #include "history/event.hpp"

@@ -9,7 +9,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/search.hpp"
 #include "history/figures.hpp"
 #include "util/table.hpp"

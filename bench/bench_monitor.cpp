@@ -33,7 +33,7 @@
 
 #include <map>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/prefix_closure.hpp"
 #include "monitor/monitor.hpp"
 #include "util/assert.hpp"
@@ -167,7 +167,8 @@ BENCHMARK(BM_BatchGraphCheckOnce)
 
 void BM_RecheckEveryPrefix(benchmark::State& state) {
   const History& h = live_run_history(state.range(0));
-  const auto fn = duo::checker::du_opacity_fn();
+  const auto fn =
+      duo::checker::criterion_fn(duo::checker::Criterion::kDuOpacity);
   for (auto _ : state) {
     const auto report = duo::checker::check_all_prefixes(h, fn);
     DUO_ASSERT(!report.first_no.has_value());

@@ -9,7 +9,7 @@
 //     "strictness ladder" made quantitative).
 #include <cstdio>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/prefix_closure.hpp"
 #include "checker/verdict.hpp"
 #include "gen/generator.hpp"
@@ -54,7 +54,8 @@ SweepResult sweep(const char* mode, int count, std::uint64_t seed) {
     if (!duo::checker::containment_violations(v).empty())
       ++res.containment_violations;
     const auto report = duo::checker::check_all_prefixes(
-        h, duo::checker::du_opacity_fn());
+        h,
+        duo::checker::criterion_fn(duo::checker::Criterion::kDuOpacity));
     if (!report.downward_closed) ++res.closure_violations;
   }
   return res;

@@ -11,8 +11,7 @@
 #include <optional>
 #include <thread>
 
-#include "checker/du_opacity.hpp"
-#include "checker/strict_serializability.hpp"
+#include "checker/engine.hpp"
 #include "history/printer.hpp"
 #include "stm/registry.hpp"
 #include "stm/workload.hpp"
@@ -59,7 +58,7 @@ bool staged_round_du_opaque(Stm& stm, Recorder& rec, Value value) {
   reader.join();
   writer.join();
   const auto h = rec.finish(stm.num_objects());
-  duo::checker::DuOpacityOptions opts;
+  duo::checker::CheckOptions opts;
   opts.node_budget = 50'000'000;
   return duo::checker::check_du_opacity(h, opts).yes();
 }
@@ -80,7 +79,9 @@ bool lost_update_round_sser(Stm& stm, Recorder& rec) {
     if (b->write(0, *vb + 1) && !b->finished()) b->commit();
   }
   const auto h = rec.finish(stm.num_objects());
-  return duo::checker::check_strict_serializability(h).yes();
+  return duo::checker::check_with_engine(
+             h, duo::checker::Criterion::kStrictSerializability)
+      .yes();
 }
 
 /// Doomed-read scenario: a reader samples X, a writer commits X and Y, then
@@ -100,7 +101,7 @@ bool doomed_read_round_du(Stm& stm, Recorder& rec) {
     if (y && !reader->finished()) reader->commit();
   }
   const auto h = rec.finish(stm.num_objects());
-  duo::checker::DuOpacityOptions opts;
+  duo::checker::CheckOptions opts;
   opts.node_budget = 50'000'000;
   return duo::checker::check_du_opacity(h, opts).yes();
 }
@@ -126,10 +127,11 @@ Tally evaluate(const BackendInfo& subject, int runs) {
     tally.aborts += stats.aborted;
     const auto h = rec.finish(stm->num_objects());
 
-    duo::checker::DuOpacityOptions dopts;
+    duo::checker::CheckOptions dopts;
     dopts.node_budget = 50'000'000;
     const auto du = duo::checker::check_du_opacity(h, dopts);
-    const auto sser = duo::checker::check_strict_serializability(h);
+    const auto sser = duo::checker::check_with_engine(
+        h, duo::checker::Criterion::kStrictSerializability);
     ++tally.runs;
     if (du.verdict == duo::checker::Verdict::kUnknown ||
         sser.verdict == duo::checker::Verdict::kUnknown) {

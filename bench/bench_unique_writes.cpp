@@ -4,9 +4,8 @@
 // verifies they agree.
 #include <benchmark/benchmark.h>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/opacity.hpp"
-#include "checker/unique_writes.hpp"
 #include "gen/generator.hpp"
 #include "util/assert.hpp"
 
@@ -21,12 +20,15 @@ duo::gen::History make_history(int txns, std::uint64_t seed) {
   return duo::gen::random_du_history(opts, rng);
 }
 
+// The router decides opacity on a unique-writes history as one du-opacity
+// graph (Theorem 11).
 void BM_OpacityViaTheorem11(benchmark::State& state) {
   const auto h = make_history(static_cast<int>(state.range(0)), 42);
+  DUO_ASSERT(h.has_unique_writes());
   for (auto _ : state) {
-    const auto r = duo::checker::check_opacity_via_unique_writes(h);
-    DUO_ASSERT(r.used_equivalence);
-    benchmark::DoNotOptimize(r.opacity);
+    const auto r =
+        duo::checker::check_with_engine(h, duo::checker::Criterion::kOpacity);
+    benchmark::DoNotOptimize(r.verdict);
   }
 }
 BENCHMARK(BM_OpacityViaTheorem11)->Arg(4)->Arg(8)->Arg(12);
@@ -56,10 +58,11 @@ void BM_AgreementSpotCheck(benchmark::State& state) {
   std::uint64_t seed = 1000;
   for (auto _ : state) {
     const auto h = make_history(5, seed++);
-    const auto via = duo::checker::check_opacity_via_unique_writes(h);
+    const auto via =
+        duo::checker::check_with_engine(h, duo::checker::Criterion::kOpacity);
     const auto naive = duo::checker::check_opacity_naive(h);
-    DUO_ASSERT(via.opacity == naive.verdict);
-    benchmark::DoNotOptimize(via.opacity);
+    DUO_ASSERT(via.verdict == naive.verdict);
+    benchmark::DoNotOptimize(via.verdict);
   }
 }
 BENCHMARK(BM_AgreementSpotCheck)->Iterations(50);

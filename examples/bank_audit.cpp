@@ -9,8 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "checker/du_opacity.hpp"
-#include "checker/strict_serializability.hpp"
+#include "checker/engine.hpp"
 #include "history/printer.hpp"
 #include "stm/registry.hpp"
 #include "stm/workload.hpp"
@@ -48,7 +47,7 @@ void run_case(const char* backend, duo::history::ObjId accounts,
               static_cast<long long>(total));
 
   const auto h = recorder.finish(accounts);
-  checker::DuOpacityOptions copts;
+  checker::CheckOptions copts;
   copts.node_budget = 100'000'000;
   const auto du = checker::check_du_opacity(h, copts);
   std::printf("%-12s recorded %s -> du-opacity: %s\n\n", label,

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "history/printer.hpp"
 #include "stm/registry.hpp"
 #include "txdata/txqueue.hpp"
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
 
   const auto h = recorder.finish(stm.num_objects());
   std::printf("recorded %s\n", history::summary(h).c_str());
-  checker::DuOpacityOptions opts;
+  checker::CheckOptions opts;
   opts.node_budget = 500'000'000;
   const auto verdict = checker::check_du_opacity(h, opts);
   std::printf("du-opacity verdict: %s\n",

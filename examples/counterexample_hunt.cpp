@@ -6,10 +6,8 @@
 #include <cstdio>
 #include <optional>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/opacity.hpp"
-#include "checker/rco_opacity.hpp"
-#include "checker/tms2.hpp"
 #include "gen/generator.hpp"
 #include "history/printer.hpp"
 
@@ -52,10 +50,10 @@ int main() {
     const auto du = checker::check_du_opacity(h);
     if (du.yes()) {
       if ((!du_not_rco || h.size() < du_not_rco->events) &&
-          checker::check_rco_opacity(h).no())
+          checker::check_with_engine(h, checker::Criterion::kRcoOpacity).no())
         du_not_rco = {h, h.size()};
       if ((!du_not_tms2 || h.size() < du_not_tms2->events) &&
-          checker::check_tms2(h).no())
+          checker::check_with_engine(h, checker::Criterion::kTms2).no())
         du_not_tms2 = {h, h.size()};
       continue;
     }

@@ -7,8 +7,7 @@
 // violation.
 #include <cstdio>
 
-#include "checker/du_opacity.hpp"
-#include "checker/final_state_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/legality.hpp"
 #include "checker/opacity.hpp"
 #include "checker/verdict.hpp"

@@ -9,7 +9,7 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "history/printer.hpp"
 #include "stm/registry.hpp"
 #include "util/threading.hpp"

@@ -47,7 +47,10 @@ Edges tms2_edges(const History& h) {
     for (std::size_t b = 0; b < n; ++b) {
       if (a == b) continue;
       const Transaction& tb = h.txn(b);
-      if (!tb.tryc_inv.has_value()) continue;
+      // Update readers that can commit; the edge binds only if b does.
+      if (!(tb.committed() || tb.commit_pending())) continue;
+      if (tb.final_writes.empty()) continue;
+      DUO_ASSERT(tb.tryc_inv.has_value());
       if (ca_resp >= *tb.tryc_inv) continue;
       // Does T_b read an object T_a writes?
       bool conflict = false;

@@ -2,7 +2,8 @@
 // final-state opacity with an order condition on specific transaction pairs:
 // the read-commit-order definition of Guerraoui, Henzinger, Singh [6] and
 // the TMS2 condition of Doherty, Groves, Luchangco, Moir [5] (both as
-// described in §4.2 of the paper).
+// described in §4.2 of the paper). Both are conditional: a pair (a, b)
+// binds only in completions that commit b (SearchOptions::commit_edges).
 #pragma once
 
 #include <utility>
@@ -32,6 +33,14 @@ Edges rco_commit_edges(const history::History& h);
 /// precedes T_b's tryC invocation, then T_a must precede T_b in the
 /// serialization. Rset is taken literally (paper §2: the objects the
 /// transaction reads), so reads of one's own writes count.
+///
+/// Only update readers are ordered, and only when they commit. TMS2
+/// (Doherty, Groves, Luchangco & Moir, "Towards formally specifying and
+/// verifying transactional memory", the paper's [5]) serializes an update
+/// transaction at its commit, but lets a read-only or aborted transaction
+/// serialize at an earlier snapshot, where it may miss T_a's write. So T_b
+/// must write at least one object, and the pairs (a, b) are conditional
+/// like rco_commit_edges: enforce them only when b commits in S.
 Edges tms2_edges(const history::History& h);
 
 }  // namespace duo::checker

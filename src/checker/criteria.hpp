@@ -1,10 +1,18 @@
-// Common result type for all correctness-criterion checkers.
+// The criteria, as data, and the result type every check returns.
+//
+// Every criterion the paper compares asks one question: does a legal
+// serialization that respects the real-time order exist, under a few extra
+// conditions? Each criterion is one CriterionRow naming those conditions;
+// both engines (checker/engine.hpp) and every front end read the row.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "checker/constraints.hpp"
 #include "checker/search.hpp"
 
 namespace duo::checker {
@@ -18,15 +26,45 @@ enum class Criterion : std::uint8_t {
   kStrictSerializability,  // committed projection only (baseline)
 };
 
+/// One criterion: the conditions it adds to "a legal serialization that
+/// respects the real-time order exists".
+struct CriterionRow {
+  Criterion criterion;
+  const char* name;                              // to_string
+  std::array<std::string_view, 2> aliases = {};  // extra CLI names
+  /// Def. 3(3): every read legal in its local serialization.
+  bool deferred_update = false;
+  /// Conditional order edges (a, b): a precedes b if b commits in the
+  /// completion. rco_commit_edges, tms2_edges, or nullptr for none.
+  Edges (*commit_edges)(const history::History&) = nullptr;
+  /// Judge the committed projection instead of the history.
+  bool committed_projection = false;
+  /// Every prefix must satisfy the row (opacity, Def. 5).
+  bool per_prefix = false;
+  /// A rejected history stays rejected in every extension.
+  bool prefix_closed = false;
+  /// The DFS's explanation of a "no" (the per-prefix row appends the
+  /// index of the first bad prefix).
+  const char* no_explanation = "";
+};
+
+const CriterionRow& criterion_row(Criterion c);
+
 std::string to_string(Criterion c);
 
-/// Inverse of to_string, case-insensitive, accepting the short aliases the
-/// duo_check CLI documents (du, fso, opaque, rco, tms2, sser). nullopt for
-/// unknown names.
+/// Inverse of to_string, case-insensitive, accepting each row's aliases
+/// (du, fso, opaque, rco, sser, ...). nullopt for unknown names.
 std::optional<Criterion> criterion_from_name(const std::string& name);
 
 /// All six criteria, in declaration order (for CLI help / sweeps).
 const std::vector<Criterion>& all_criteria();
+
+/// The committed projection: events of committed and commit-pending
+/// transactions only. Commit-pending ones stay because their tryC may have
+/// taken effect and committed transactions may have read their writes;
+/// keeping them is what makes final-state opacity imply strict
+/// serializability of the projection.
+History committed_projection(const History& h);
 
 /// Tri-state verdict: budget exhaustion is reported, never silently turned
 /// into a verdict.
@@ -48,10 +86,8 @@ std::string to_string(EngineKind k);
 /// unknown names. Used by the duo_check --engine flag.
 std::optional<EngineKind> engine_from_name(const std::string& name);
 
-/// Options shared by every criterion checker. The per-criterion option
-/// structs (DuOpacityOptions, FinalStateOptions, ...) are aliases of this
-/// type, so one struct configures a check no matter which entry point runs
-/// it. Implicitly constructible from a bare node budget for the historical
+/// Options of every check, whichever criterion and engine run it.
+/// Implicitly constructible from a bare node budget for the
 /// `check_x(h, {budget})` call shape.
 struct CheckOptions {
   CheckOptions() = default;

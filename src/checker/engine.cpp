@@ -1,19 +1,32 @@
 #include "checker/engine.hpp"
 
-#include <sstream>
-
-#include "checker/du_opacity.hpp"
-#include "checker/final_state_opacity.hpp"
 #include "checker/graph_engine.hpp"
+#include "checker/legality.hpp"
 #include "checker/opacity.hpp"
-#include "checker/rco_opacity.hpp"
-#include "checker/strict_serializability.hpp"
-#include "checker/tms2.hpp"
 #include "util/assert.hpp"
 
 namespace duo::checker {
 
 namespace {
+
+/// Why a deferred-update row said "no", when a final-state witness shows it:
+/// the paper's Figure 4 narrative. Falls back to the row's text.
+std::string du_no_explanation(const history::History& h,
+                              const CriterionRow& row,
+                              const CheckOptions& opts) {
+  const CheckResult fs =
+      check_with_engine(h, Criterion::kFinalStateOpacity, opts);
+  if (fs.no()) return "not even final-state opaque";
+  if (fs.yes() && fs.witness.has_value()) {
+    const auto violations = deferred_update_violations(h, *fs.witness);
+    // An empty list: this witness is du-legal read by read, yet the
+    // exhaustive search proved no serialization meets Def. 3 at once.
+    if (!violations.empty())
+      return "final-state opaque, but not du-opaque; for one final-state "
+             "serialization: " + violations.front();
+  }
+  return row.no_explanation;
+}
 
 class DfsEngine final : public Engine {
  public:
@@ -25,35 +38,48 @@ class DfsEngine final : public Engine {
 
   CheckResult check(const history::History& h, Criterion c,
                     const CheckOptions& opts) const override {
-    switch (c) {
-      case Criterion::kFinalStateOpacity:
-        return check_final_state_opacity_dfs(h, opts);
-      case Criterion::kDuOpacity:
-        return check_du_opacity_dfs(h, opts);
-      case Criterion::kRcoOpacity:
-        return check_rco_opacity_dfs(h, opts);
-      case Criterion::kTms2:
-        return check_tms2_dfs(h, opts);
-      case Criterion::kStrictSerializability:
-        return check_strict_serializability_dfs(h, opts);
-      case Criterion::kOpacity: {
-        // The per-prefix scan. opts.engine propagates into the inner
-        // du/final-state sub-checks, so with kAuto even the "DFS" opacity
-        // path decides unique-writes prefixes on the graph engine.
-        const OpacityResult r = check_opacity(h, opts);
-        CheckResult out;
-        out.verdict = r.verdict;
-        out.stats.nodes = r.total_nodes;
-        if (r.no() && r.first_bad_prefix.has_value()) {
-          std::ostringstream msg;
-          msg << "first non-final-state-opaque prefix ends at event "
-              << *r.first_bad_prefix;
-          out.explanation = msg.str();
-        }
-        return out;
-      }
+    const CriterionRow& row = criterion_row(c);
+    CheckResult out;
+    if (row.per_prefix) {
+      // The per-prefix scan. opts.engine propagates into its sub-checks,
+      // so with kAuto even this path decides unique-writes prefixes on the
+      // graph engine.
+      const OpacityResult r = check_opacity(h, opts);
+      out.verdict = r.verdict;
+      out.stats.nodes = r.total_nodes;
+      if (r.no() && r.first_bad_prefix.has_value())
+        out.explanation = std::string(row.no_explanation) + " " +
+                          std::to_string(*r.first_bad_prefix);
+      return out;
     }
-    DUO_UNREACHABLE("bad Criterion");
+    std::optional<history::History> projection;
+    if (row.committed_projection) projection = committed_projection(h);
+    const history::History& target = projection ? *projection : h;
+    SearchOptions so;
+    so.deferred_update = row.deferred_update;
+    if (row.commit_edges != nullptr) so.commit_edges = row.commit_edges(target);
+    so.node_budget = opts.node_budget;
+    so.memo_cap = opts.memo_cap;
+    SearchResult r = find_serialization(target, so);
+
+    out.stats = r.stats;
+    switch (r.outcome) {
+      case Outcome::kSerializable:
+        out.verdict = Verdict::kYes;
+        out.witness = std::move(r.witness);
+        break;
+      case Outcome::kNotSerializable:
+        out.verdict = Verdict::kNo;
+        out.explanation = row.deferred_update
+                              ? du_no_explanation(h, row, opts)
+                              : row.no_explanation;
+        break;
+      case Outcome::kBudgetExhausted:
+        out.verdict = Verdict::kUnknown;
+        out.explanation = "search budget exhausted";
+        break;
+    }
+    return out;
   }
 };
 
@@ -117,6 +143,7 @@ CheckResult check_with_engine(const history::History& h, Criterion c,
 std::optional<std::size_t> first_bad_prefix(const history::History& h,
                                             Criterion c,
                                             const CheckOptions& opts) {
+  DUO_EXPECTS(criterion_row(c).prefix_closed);
   if (h.size() == 0 || !check_with_engine(h, c, opts).no())
     return std::nullopt;
   // Invariant: the prefix of length hi is rejected (prefix closure then

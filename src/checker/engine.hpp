@@ -20,9 +20,10 @@
 // (history, criterion) pair and the DFS otherwise; a graph-engine decline —
 // it refuses to guess when the version order is genuinely under-determined —
 // falls back to the DFS, so auto-routed verdicts are always exact. Forcing
-// kGraph surfaces the decline as kUnknown instead. Every front-end
-// (check_* entry points, CheckerPool, OnlineMonitor's bounded-search
-// fallback, duo_check --engine) funnels through this router.
+// kGraph surfaces the decline as kUnknown instead. check_with_engine is the
+// single entry point: CheckerPool, OnlineMonitor's bounded-search fallback
+// and duo_check all funnel through it. Both engines read the criterion's
+// CriterionRow (checker/criteria.hpp); neither has per-criterion code.
 #pragma once
 
 #include "checker/criteria.hpp"
@@ -65,15 +66,22 @@ EngineChoice select_engine(const history::History& h, Criterion c,
 /// Route, run, and — in auto mode — fall back to the DFS when the graph
 /// engine declines. Fills CheckResult::engine with the trace.
 CheckResult check_with_engine(const history::History& h, Criterion c,
-                              const CheckOptions& opts);
+                              const CheckOptions& opts = {});
+
+/// The paper's criterion (Definition 3), which the monitor also decides.
+inline CheckResult check_du_opacity(const history::History& h,
+                                    const CheckOptions& opts = {}) {
+  return check_with_engine(h, Criterion::kDuOpacity, opts);
+}
 
 /// Shortest rejected prefix of `h` under `c`, as the 0-based index of the
 /// event whose arrival first makes the verdict kNo — the same convention as
 /// monitor::OnlineMonitor::first_violation(). nullopt when the full history
 /// is not rejected.
 ///
-/// Sound only for prefix-closed criteria (du-opacity per the paper's
-/// Corollary 2, opacity by definition): prefix closure makes the per-length
+/// Requires a prefix-closed criterion (CriterionRow::prefix_closed:
+/// du-opacity per the paper's Corollary 2, opacity by definition), as the
+/// search is sound only for those: prefix closure makes the per-length
 /// verdict sequence monotone (kYes* then kNo*), so the index is found by
 /// binary search — O(log n) engine-routed checks, which on unique-writes
 /// histories means graph-engine speed end to end. An undecided probe

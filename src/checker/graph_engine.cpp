@@ -7,8 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "checker/constraints.hpp"
-#include "checker/strict_serializability.hpp"
 #include "history/transaction.hpp"
 #include "util/assert.hpp"
 #include "util/incremental_graph.hpp"
@@ -87,12 +85,8 @@ std::optional<std::vector<std::size_t>> topological_order(
 
 class GraphChecker {
  public:
-  GraphChecker(const History& h, bool deferred, EdgeList extra_edges,
-               EdgeList commit_edges)
-      : h_(h),
-        deferred_(deferred),
-        extra_edges_(std::move(extra_edges)),
-        commit_edges_(std::move(commit_edges)) {}
+  GraphChecker(const History& h, bool deferred, EdgeList commit_edges)
+      : h_(h), deferred_(deferred), commit_edges_(std::move(commit_edges)) {}
 
   CheckResult run() {
     CheckResult out;
@@ -372,13 +366,12 @@ class GraphChecker {
   /// Necessary edges only: real-time order (encoded through the completion
   /// chain: a -> c_rank(a), c_i -> c_i+1, c_j(b) -> b where j(b) counts
   /// completions before b's first event — O(n) edges for the quadratic
-  /// relation), reads-from, initial-read ordering, TMS2 conflict edges, and
-  /// read-commit-order edges activated by the forced completion.
+  /// relation), reads-from, initial-read ordering, and the criterion's
+  /// conditional edges (RCO, TMS2) activated by the forced completion.
   void build_base_edges() {
     const std::size_t n = h_.num_txns();
     base_edges_.clear();
-    base_edges_.reserve(3 * n + 2 * reads_.size() + extra_edges_.size() +
-                        commit_edges_.size());
+    base_edges_.reserve(3 * n + 2 * reads_.size() + commit_edges_.size());
 
     std::vector<std::size_t> completion_end;  // last_event, ascending
     completion_end.reserve(completions_.size());
@@ -409,7 +402,6 @@ class GraphChecker {
       }
     }
 
-    for (const auto& [a, b] : extra_edges_) base_edges_.emplace_back(a, b);
     for (const auto& [a, b] : commit_edges_)
       if (must_commit_[b]) base_edges_.emplace_back(a, b);
     base_count_ = base_edges_.size();
@@ -607,7 +599,6 @@ class GraphChecker {
 
   const History& h_;
   const bool deferred_;
-  const EdgeList extra_edges_;
   const EdgeList commit_edges_;
 
   std::vector<ReadSite> reads_;
@@ -622,17 +613,9 @@ class GraphChecker {
 };
 
 CheckResult run_graph_check(const History& h, bool deferred,
-                            EdgeList extra_edges, EdgeList commit_edges) {
-  GraphChecker checker(h, deferred, std::move(extra_edges),
-                       std::move(commit_edges));
+                            EdgeList commit_edges) {
+  GraphChecker checker(h, deferred, std::move(commit_edges));
   return checker.run();
-}
-
-void decline_opacity(CheckResult& out) {
-  out.verdict = Verdict::kUnknown;
-  out.explanation =
-      "graph engine declined: opacity via Theorem 11 requires the full "
-      "unique-writes property";
 }
 
 }  // namespace
@@ -643,16 +626,19 @@ bool GraphEngine::supports(const history::History& h, Criterion) const {
 
 CheckResult GraphEngine::check(const history::History& h, Criterion c,
                                const CheckOptions& opts) const {
-  // Theorem 11 (kOpacity routing) is stated for the paper's full
+  // Theorem 11 (the per-prefix row's route) is stated for the paper's full
   // unique-writes condition; the weaker inline precondition that suffices
   // for the other criteria (verified in resolve_reads_from) is not enough
   // there — a transaction aborted in H may still be commit-pending in the
   // prefixes opacity quantifies over — so direct/forced opacity calls gate
   // strictly here. The auto router enters via check_supported() instead,
   // having just established supports().
-  if (c == Criterion::kOpacity && !h.has_unique_writes()) {
+  if (criterion_row(c).per_prefix && !h.has_unique_writes()) {
     CheckResult out;
-    decline_opacity(out);
+    out.verdict = Verdict::kUnknown;
+    out.explanation =
+        "graph engine declined: opacity via Theorem 11 requires the full "
+        "unique-writes property";
     return out;
   }
   return check_supported(h, c, opts);
@@ -665,32 +651,22 @@ CheckResult GraphEngine::check_supported(const history::History& h,
   // can-commit final writes, see resolve_reads_from) is verified inline —
   // an unsupported input declines with kUnknown instead of guessing.
   (void)opts;
-  switch (c) {
-    case Criterion::kFinalStateOpacity:
-      return run_graph_check(h, /*deferred=*/false, {}, {});
-    case Criterion::kDuOpacity:
-      return run_graph_check(h, /*deferred=*/true, {}, {});
-    case Criterion::kOpacity: {
-      // Theorem 11: under unique writes Opacity_ut = DU-Opacity, so the
-      // single du-opacity graph decides opacity without a per-prefix scan.
-      CheckResult r = run_graph_check(h, /*deferred=*/true, {}, {});
-      if (r.no())
-        r.explanation =
-            "not opaque (= not du-opaque under unique writes, Thm. 11): " +
-            r.explanation;
-      return r;
-    }
-    case Criterion::kRcoOpacity:
-      return run_graph_check(h, /*deferred=*/false, {}, rco_commit_edges(h));
-    case Criterion::kTms2:
-      return run_graph_check(h, /*deferred=*/false, tms2_edges(h), {});
-    case Criterion::kStrictSerializability:
-      // The committed projection of a unique-writes history keeps unique
-      // writes (a subset of the writes, same initial values).
-      return run_graph_check(committed_projection(h), /*deferred=*/false, {},
-                             {});
-  }
-  DUO_UNREACHABLE("bad Criterion");
+  const CriterionRow& row = criterion_row(c);
+  // The committed projection of a unique-writes history keeps unique
+  // writes (a subset of the writes, same initial values).
+  std::optional<History> projection;
+  if (row.committed_projection) projection = committed_projection(h);
+  const History& target = projection ? *projection : h;
+  // Theorem 11: under unique writes Opacity_ut = DU-Opacity, so the single
+  // du-opacity graph decides the per-prefix row without a scan.
+  CheckResult r = run_graph_check(
+      target, row.deferred_update || row.per_prefix,
+      row.commit_edges != nullptr ? row.commit_edges(target) : EdgeList{});
+  if (row.per_prefix && r.no())
+    r.explanation =
+        "not opaque (= not du-opaque under unique writes, Thm. 11): " +
+        r.explanation;
+  return r;
 }
 
 const Engine& graph_engine() {

@@ -14,7 +14,7 @@
 //
 //   2. The completion choice is forced: committing a commit-pending
 //      transaction nobody reads from only adds constraints (its writes
-//      interfere, its conditional RCO edges activate) and relaxes none, so
+//      interfere, its conditional edges activate) and relaxes none, so
 //      the dominant completion commits exactly the committed-in-H
 //      transactions plus the read-from writers.
 //
@@ -29,7 +29,7 @@
 //      precedence graph over: real-time edges (sparsified through a
 //      completion-chain encoding, so the quadratic ≺RT relation costs O(n)
 //      edges), reads-from edges, initial-read ordering edges, criterion
-//      edges (TMS2 conflict order, activated read-commit-order edges),
+//      edges (TMS2 and read-commit-order edges, activated by the completion),
 //      version-chain edges, and per-read anti-dependency edges to the next
 //      version. If that graph is acyclic, ANY topological order is a valid
 //      serialization (the witness); the engine emits one.
@@ -52,10 +52,11 @@
 //     with an explanation) rather than guess wrong — the router then falls
 //     back to the DFS, keeping auto-mode verdicts exact on every input.
 //
-// Criteria: all six. Final-state opacity, du-opacity, TMS2 and
-// read-commit-order map directly; strict serializability runs on the
-// committed projection; opacity routes through du-opacity via the paper's
-// Theorem 11 (Opacity_ut = DU-Opacity under unique writes).
+// Criteria: all six, read from their CriterionRow: the deferred-update
+// flag selects the stage-3 timing predicate, the row's conditional edges
+// (RCO, TMS2) join the base graph, a committed-projection row runs on that
+// projection, and the per-prefix row (opacity) runs as du-opacity by the
+// paper's Theorem 11 (Opacity_ut = DU-Opacity under unique writes).
 //
 // The online monitor (monitor/monitor.hpp) maintains this engine's Tier-A
 // edge set *incrementally* as its streaming fast path — the two must stay

@@ -191,4 +191,13 @@ Value latest_committed_value(const History& h, const Serialization& s,
   return v;
 }
 
+std::vector<std::string> deferred_update_violations(const History& h,
+                                                    const Serialization& s) {
+  SerializationRules rules;
+  rules.real_time = false;      // isolate Def. 3(3)
+  rules.global_legality = false;
+  rules.deferred_update = true;
+  return verify_serialization(h, s, rules);
+}
+
 }  // namespace duo::checker

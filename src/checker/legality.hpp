@@ -22,10 +22,10 @@ struct SerializationRules {
   bool global_legality = true;  // S legal (every value read legal in S)
   bool deferred_update = false;  // Def. 3(3): local-serialization legality
   /// Additional required precedence edges (a before b), in tix space; used
-  /// for the TMS2 comparison and for Lemma-4-style tests.
+  /// for Lemma-4-style tests.
   std::vector<std::pair<std::size_t, std::size_t>> extra_edges;
   /// Conditional edges (a, b): a before b required only when b is committed
-  /// in the serialization's completion (read-commit-order semantics).
+  /// in the serialization's completion (the RCO and TMS2 rows).
   std::vector<std::pair<std::size_t, std::size_t>> commit_edges;
 };
 
@@ -45,5 +45,11 @@ bool legal_t_sequential(const History& s);
 /// transactions committed in s; falls back to the initial value.
 Value latest_committed_value(const History& h, const Serialization& s,
                              std::size_t upto, ObjId x);
+
+/// Diagnose why a final-state serialization fails the deferred-update
+/// condition: returns the violations of Def. 3(3) alone for the given
+/// witness. Used for paper-style explanations (e.g. Figure 4's narrative).
+std::vector<std::string> deferred_update_violations(const History& h,
+                                                    const Serialization& s);
 
 }  // namespace duo::checker

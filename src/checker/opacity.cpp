@@ -1,16 +1,16 @@
 #include "checker/opacity.hpp"
 
-#include "checker/du_opacity.hpp"
-#include "checker/final_state_opacity.hpp"
+#include "checker/engine.hpp"
 
 namespace duo::checker {
 
 namespace {
 
 /// Final-state check of the prefix of length n; folds stats into `out`.
-Verdict prefix_fso(const History& h, std::size_t n, const OpacityOptions& opts,
+Verdict prefix_fso(const History& h, std::size_t n, const CheckOptions& opts,
                    OpacityResult& out) {
-  const CheckResult r = check_final_state_opacity(h.prefix(n), opts);
+  const CheckResult r =
+      check_with_engine(h.prefix(n), Criterion::kFinalStateOpacity, opts);
   out.total_nodes += r.stats.nodes;
   ++out.prefix_searches;
   return r.verdict;
@@ -19,7 +19,7 @@ Verdict prefix_fso(const History& h, std::size_t n, const OpacityOptions& opts,
 }  // namespace
 
 OpacityResult check_opacity_naive(const History& h,
-                                  const OpacityOptions& opts) {
+                                  const CheckOptions& opts) {
   OpacityResult out;
   for (std::size_t n = 0; n <= h.size(); ++n) {
     const Verdict v = prefix_fso(h, n, opts, out);
@@ -37,7 +37,7 @@ OpacityResult check_opacity_naive(const History& h,
   return out;
 }
 
-OpacityResult check_opacity(const History& h, const OpacityOptions& opts) {
+OpacityResult check_opacity(const History& h, const CheckOptions& opts) {
   OpacityResult out;
 
   // Find the longest du-opaque prefix by binary search: du-opacity is

@@ -16,8 +16,6 @@
 
 namespace duo::checker {
 
-using OpacityOptions = CheckOptions;
-
 struct OpacityResult {
   Verdict verdict = Verdict::kUnknown;
   /// Event-prefix length of the shortest non-final-state-opaque prefix
@@ -37,9 +35,9 @@ struct OpacityResult {
 /// final-state sub-checks, so unique-writes prefixes are decided by the
 /// polynomial graph engine while the scan structure stays unchanged. The
 /// whole-history graph shortcut for opacity (Theorem 11) lives in
-/// GraphEngine and is taken by check_criterion / CheckerPool / duo_check.
-OpacityResult check_opacity(const History& h, const OpacityOptions& opts = {});
+/// GraphEngine and is taken by check_with_engine(h, Criterion::kOpacity).
+OpacityResult check_opacity(const History& h, const CheckOptions& opts = {});
 OpacityResult check_opacity_naive(const History& h,
-                                  const OpacityOptions& opts = {});
+                                  const CheckOptions& opts = {});
 
 }  // namespace duo::checker

@@ -1,7 +1,5 @@
 #include "checker/pool.hpp"
 
-#include "checker/verdict.hpp"
-
 #include <algorithm>
 #include <deque>
 
@@ -65,7 +63,8 @@ std::vector<CheckResult> CheckerPool::check_batch(
   const std::size_t workers = std::min(num_threads_, histories.size());
   if (workers == 1) {
     for (std::size_t i = 0; i < histories.size(); ++i)
-      results[i] = check_criterion(histories[i], opts_.criterion, opts_.check);
+      results[i] =
+          check_with_engine(histories[i], opts_.criterion, opts_.check);
     return results;
   }
 
@@ -100,7 +99,7 @@ std::vector<CheckResult> CheckerPool::check_batch(
         }
       }
       results[index] =
-          check_criterion(histories[index], opts_.criterion, opts_.check);
+          check_with_engine(histories[index], opts_.criterion, opts_.check);
     }
   });
   return results;

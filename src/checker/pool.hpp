@@ -15,7 +15,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "history/history.hpp"
 
 namespace duo::checker {

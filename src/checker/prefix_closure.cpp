@@ -1,7 +1,6 @@
 #include "checker/prefix_closure.hpp"
 
-#include "checker/du_opacity.hpp"
-#include "checker/final_state_opacity.hpp"
+#include "checker/engine.hpp"
 
 namespace duo::checker {
 
@@ -20,19 +19,9 @@ PrefixReport check_all_prefixes(const History& h, const CriterionFn& fn) {
   return report;
 }
 
-CriterionFn final_state_opacity_fn(std::uint64_t node_budget) {
-  return [node_budget](const History& h) {
-    FinalStateOptions opts;
-    opts.node_budget = node_budget;
-    return check_final_state_opacity(h, opts).verdict;
-  };
-}
-
-CriterionFn du_opacity_fn(std::uint64_t node_budget) {
-  return [node_budget](const History& h) {
-    DuOpacityOptions opts;
-    opts.node_budget = node_budget;
-    return check_du_opacity(h, opts).verdict;
+CriterionFn criterion_fn(Criterion c, std::uint64_t node_budget) {
+  return [c, node_budget](const History& h) {
+    return check_with_engine(h, c, CheckOptions(node_budget)).verdict;
   };
 }
 

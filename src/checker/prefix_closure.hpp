@@ -26,8 +26,7 @@ struct PrefixReport {
 
 PrefixReport check_all_prefixes(const History& h, const CriterionFn& fn);
 
-/// Standard criterion functions with the given node budget.
-CriterionFn final_state_opacity_fn(std::uint64_t node_budget = 50'000'000);
-CriterionFn du_opacity_fn(std::uint64_t node_budget = 50'000'000);
+/// Criterion c through check_with_engine, with the given node budget.
+CriterionFn criterion_fn(Criterion c, std::uint64_t node_budget = 50'000'000);
 
 }  // namespace duo::checker

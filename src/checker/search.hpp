@@ -34,8 +34,8 @@ struct SearchOptions {
   /// Additional precedence edges (a must precede b), tix space.
   std::vector<std::pair<std::size_t, std::size_t>> extra_edges;
   /// Conditional edges (a, b): a must precede b *if b commits in S*. Used
-  /// for the read-commit-order criterion, where commit-pending writers are
-  /// constrained only in completions that commit them.
+  /// for the RCO and TMS2 rows, whose targets are constrained only in
+  /// completions that commit them.
   std::vector<std::pair<std::size_t, std::size_t>> commit_edges;
   /// Maximum DFS nodes before giving up.
   std::uint64_t node_budget = 50'000'000;

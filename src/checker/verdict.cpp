@@ -2,14 +2,27 @@
 
 #include <sstream>
 
-#include "checker/du_opacity.hpp"
 #include "checker/engine.hpp"
-#include "checker/final_state_opacity.hpp"
-#include "checker/rco_opacity.hpp"
-#include "checker/strict_serializability.hpp"
-#include "checker/tms2.hpp"
 
 namespace duo::checker {
+
+namespace {
+
+/// The VerdictVector member holding criterion c's verdict.
+Verdict VerdictVector::*slot(Criterion c) {
+  static constexpr Verdict VerdictVector::*kSlots[] = {
+      &VerdictVector::final_state, &VerdictVector::opaque,
+      &VerdictVector::du_opaque,   &VerdictVector::rco,
+      &VerdictVector::tms2,        &VerdictVector::strict_ser,
+  };  // Criterion declaration order
+  return kSlots[static_cast<std::size_t>(c)];
+}
+
+}  // namespace
+
+Verdict& VerdictVector::operator[](Criterion c) { return this->*slot(c); }
+
+Verdict VerdictVector::operator[](Criterion c) const { return this->*slot(c); }
 
 std::string VerdictVector::to_string() const {
   std::ostringstream out;
@@ -24,12 +37,8 @@ std::string VerdictVector::to_string() const {
 
 VerdictVector evaluate_all(const History& h, const CheckOptions& opts) {
   VerdictVector v;
-  v.final_state = check_final_state_opacity(h, opts).verdict;
-  v.opaque = check_criterion(h, Criterion::kOpacity, opts).verdict;
-  v.du_opaque = check_du_opacity(h, opts).verdict;
-  v.rco = check_rco_opacity(h, opts).verdict;
-  v.tms2 = check_tms2(h, opts).verdict;
-  v.strict_ser = check_strict_serializability(h, opts).verdict;
+  for (const Criterion c : all_criteria())
+    v[c] = check_with_engine(h, c, opts).verdict;
   return v;
 }
 
@@ -61,11 +70,6 @@ std::string containment_violations(const VerdictVector& v) {
   for (const Rule& r : rules)
     if (implies_violated(r.from, r.to)) return r.name;
   return "";
-}
-
-CheckResult check_criterion(const History& h, Criterion c,
-                            const CheckOptions& opts) {
-  return check_with_engine(h, c, opts);
 }
 
 }  // namespace duo::checker

@@ -17,20 +17,16 @@ struct VerdictVector {
   Verdict tms2 = Verdict::kUnknown;
   Verdict strict_ser = Verdict::kUnknown;
 
+  /// The slot of criterion c.
+  Verdict& operator[](Criterion c);
+  Verdict operator[](Criterion c) const;
+
   /// "FSO=yes opaque=yes du=no rco=no tms2=no sser=yes"
   std::string to_string() const;
 };
 
+/// check_with_engine under every criterion of all_criteria().
 VerdictVector evaluate_all(const History& h, const CheckOptions& opts = {});
-
-/// Check a single criterion through the engine router (see engine.hpp):
-/// opts.engine selects auto / graph / dfs. On the DFS path the opacity
-/// checker's prefix-level result is adapted into a CheckResult (no witness;
-/// the first bad prefix index lands in the explanation); the graph engine
-/// decides opacity directly via Theorem 11. Used by the duo_check
-/// --criterion flag and the CheckerPool.
-CheckResult check_criterion(const History& h, Criterion c,
-                            const CheckOptions& opts = {});
 
 /// The containment structure the paper proves/conjectures, as a checkable
 /// predicate on a verdict vector (ignores kUnknown entries):

@@ -4,7 +4,7 @@
 #include <sstream>
 #include <tuple>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "util/assert.hpp"
 
 namespace duo::monitor {
@@ -1048,7 +1048,8 @@ void OnlineMonitor::run_full_check(ObjId num_objects, TxnId synth_base,
   } else if (result.no()) {
     latch_at(index,
              result.explanation.empty()
-                 ? "no serialization satisfies Def. 3 (1)-(3)"
+                 ? checker::criterion_row(checker::Criterion::kDuOpacity)
+                       .no_explanation
                  : result.explanation,
              /*by_fast_path=*/false);
   } else {

@@ -1,6 +1,6 @@
 #include "stm/explorer.hpp"
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "util/assert.hpp"
 #include "util/threading.hpp"
 
@@ -104,7 +104,7 @@ class Driver {
     }
 
     const auto h = rec.finish(opts_.num_objects);
-    checker::DuOpacityOptions copts;
+    checker::CheckOptions copts;
     copts.node_budget = opts_.check_budget;
     const auto verdict = checker::check_du_opacity(h, copts);
     if (verdict.verdict == checker::Verdict::kUnknown) {

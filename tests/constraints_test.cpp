@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "checker/constraints.hpp"
+#include "checker/engine.hpp"
 #include "history/figures.hpp"
 #include "history/parser.hpp"
 
@@ -14,6 +15,16 @@ bool has_edge(const Edges& edges, std::size_t a, std::size_t b) {
   for (const auto& [x, y] : edges)
     if (x == a && y == b) return true;
   return false;
+}
+
+/// The TMS2 verdict of h on each engine, forced.
+void expect_tms2(const history::History& h, Verdict want) {
+  for (const EngineKind engine : {EngineKind::kGraph, EngineKind::kDfs}) {
+    CheckOptions opts;
+    opts.engine = engine;
+    EXPECT_EQ(check_with_engine(h, Criterion::kTms2, opts).verdict, want)
+        << to_string(engine);
+  }
 }
 
 TEST(RcoEdges, Figure5ForcesT2BeforeT3) {
@@ -83,6 +94,31 @@ TEST(Tms2Edges, RequiresWriteReadConflict) {
 TEST(Tms2Edges, AbortedWriterNoEdge) {
   const auto h = parse_history_or_die("W1(X0,1) C1=A R2(X0)=0 C2");
   EXPECT_TRUE(tms2_edges(h).empty());
+}
+
+TEST(Tms2Edges, NoEdgeToReadOnlyReader) {
+  // T2 read X before T1 committed it and invoked tryC after: TMS2 [5] lets
+  // a read-only transaction serialize at that earlier snapshot.
+  const auto h = parse_history_or_die("R2(X0)=0 W1(X0,1) C1 C2");
+  EXPECT_TRUE(tms2_edges(h).empty());
+  expect_tms2(h, Verdict::kYes);
+}
+
+TEST(Tms2Edges, NoEdgeBindsAnAbortedUpdateReader) {
+  // As above, but T2 also writes and aborts: it never commits, so it is
+  // not ordered at commit either.
+  const auto h = parse_history_or_die("R2(X0)=0 W2(X1,2) W1(X0,1) C1 C2=A");
+  EXPECT_TRUE(tms2_edges(h).empty());
+  expect_tms2(h, Verdict::kYes);
+}
+
+TEST(Tms2Edges, CommittingUpdateReaderIsOrderedAfterTheWriter) {
+  // T2 writes and commits: T1 must precede it, so its read of the initial
+  // value is stale. Not TMS2, though du-opaque (T2 serializes before T1).
+  const auto h = parse_history_or_die("R2(X0)=0 W2(X1,2) W1(X0,1) C1 C2");
+  EXPECT_TRUE(has_edge(tms2_edges(h), h.tix_of(1), h.tix_of(2)));
+  expect_tms2(h, Verdict::kNo);
+  EXPECT_TRUE(check_du_opacity(h).yes());
 }
 
 TEST(Tms2Edges, InternalReadCountsAsRset) {

@@ -6,10 +6,8 @@
 // history.
 #include <gtest/gtest.h>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/opacity.hpp"
-#include "checker/rco_opacity.hpp"
-#include "checker/strict_serializability.hpp"
 #include "checker/verdict.hpp"
 #include "gen/generator.hpp"
 #include "history/figures.hpp"
@@ -77,11 +75,11 @@ TEST(Containment, SeparationAppearsInMutatedCorpus) {
 }
 
 TEST(Containment, RcoImpliesDuOnHandCases) {
-  // rco ⇒ du formally (see rco_opacity.hpp discussion): verified on random
-  // corpus above; here on the figures where rco is yes.
+  // rco ⇒ du formally (see rco_commit_edges in constraints.hpp): verified
+  // on the random corpus above; here on the figures where rco is yes.
   for (const auto& h :
        {history::figures::fig2(5), history::figures::fig6()}) {
-    const auto rco = check_rco_opacity(h);
+    const auto rco = check_with_engine(h, Criterion::kRcoOpacity);
     const auto du = check_du_opacity(h);
     ASSERT_TRUE(rco.yes());
     EXPECT_TRUE(du.yes());

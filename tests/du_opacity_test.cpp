@@ -3,8 +3,7 @@
 // values, and the paper's discussion cases.
 #include <gtest/gtest.h>
 
-#include "checker/du_opacity.hpp"
-#include "checker/final_state_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/opacity.hpp"
 #include "history/builder.hpp"
 #include "history/parser.hpp"
@@ -78,7 +77,7 @@ TEST(DuOpacity, DuplicateValueWithoutEarlyCoverFails) {
   // But it is final-state opaque: T3, T1, T4 ... with T1's read of 1 served
   // by T3 in the final order — wait, read1 responds before tryC3; final-
   // state opacity does not care.
-  EXPECT_TRUE(check_final_state_opacity(h).yes());
+  EXPECT_TRUE(check_with_engine(h, Criterion::kFinalStateOpacity).yes());
 }
 
 TEST(DuOpacity, InternalReadsAreLocal) {

@@ -12,10 +12,8 @@
 
 #include <string>
 
-#include "checker/constraints.hpp"
 #include "checker/engine.hpp"
 #include "checker/legality.hpp"
-#include "checker/strict_serializability.hpp"
 #include "checker/verdict.hpp"
 #include "gen/generator.hpp"
 #include "history/figures.hpp"
@@ -29,23 +27,13 @@ namespace {
 
 using history::History;
 
+/// The definition-based rules a witness of row c over h must satisfy.
 SerializationRules rules_for(Criterion c, const History& h) {
+  const CriterionRow& row = criterion_row(c);
   SerializationRules rules;
-  switch (c) {
-    case Criterion::kDuOpacity:
-    case Criterion::kOpacity:  // graph witness for opacity is a du witness
-      rules.deferred_update = true;
-      break;
-    case Criterion::kTms2:
-      rules.extra_edges = tms2_edges(h);
-      break;
-    case Criterion::kRcoOpacity:
-      rules.commit_edges = rco_commit_edges(h);
-      break;
-    case Criterion::kFinalStateOpacity:
-    case Criterion::kStrictSerializability:
-      break;
-  }
+  // A graph witness for opacity is a du witness (Theorem 11).
+  rules.deferred_update = row.deferred_update || row.per_prefix;
+  if (row.commit_edges != nullptr) rules.commit_edges = row.commit_edges(h);
   return rules;
 }
 
@@ -59,7 +47,7 @@ void expect_equivalent(const History& h, const std::string& context,
   for (const Criterion c : all_criteria()) {
     CheckOptions dfs_opts;
     dfs_opts.engine = EngineKind::kDfs;
-    const CheckResult dfs = check_criterion(h, c, dfs_opts);
+    const CheckResult dfs = check_with_engine(h, c, dfs_opts);
     ASSERT_NE(dfs.verdict, Verdict::kUnknown)
         << context << " dfs exhausted its budget on a test-sized history";
 
@@ -70,7 +58,7 @@ void expect_equivalent(const History& h, const std::string& context,
           << "\n  graph: " << graph.explanation
           << "\n  dfs:   " << dfs.explanation;
       if (graph.yes() && graph.witness.has_value()) {
-        const History& target = c == Criterion::kStrictSerializability
+        const History& target = criterion_row(c).committed_projection
                                     ? committed_projection(h)
                                     : h;
         const auto violations =
@@ -88,7 +76,7 @@ void expect_equivalent(const History& h, const std::string& context,
     }
 
     // The auto router is the user-facing contract: always exact.
-    const CheckResult routed = check_criterion(h, c, CheckOptions{});
+    const CheckResult routed = check_with_engine(h, c, CheckOptions{});
     EXPECT_EQ(routed.verdict, dfs.verdict)
         << context << " criterion=" << to_string(c)
         << " routed-by=" << routed.engine.engine;

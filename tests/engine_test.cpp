@@ -3,9 +3,7 @@
 // rejection explanations, and the SearchOptions memo cap.
 #include <gtest/gtest.h>
 
-#include "checker/du_opacity.hpp"
 #include "checker/engine.hpp"
-#include "checker/final_state_opacity.hpp"
 #include "checker/graph_engine.hpp"
 #include "checker/legality.hpp"
 #include "checker/search.hpp"
@@ -58,6 +56,15 @@ TEST(FirstBadPrefix, AcceptedHistoriesHaveNone) {
                    .has_value());
   EXPECT_FALSE(
       first_bad_prefix(parse(""), Criterion::kDuOpacity, {}).has_value());
+}
+
+TEST(FirstBadPrefixDeathTest, RejectsANonPrefixClosedCriterion) {
+  // Final-state opacity is not prefix-closed (Figure 3), so a binary search
+  // over its prefixes would be unsound: a contract failure, not an answer.
+  EXPECT_DEATH(
+      (void)first_bad_prefix(history::figures::fig3_prefix(),
+                             Criterion::kFinalStateOpacity, {}),
+      "prefix_closed");
 }
 
 TEST(FirstBadPrefix, RunsAtGraphEngineSpeedOnUniqueWrites) {
@@ -146,7 +153,8 @@ TEST(GraphEngine, RejectsDeferredUpdateTimingViolation) {
   const History h = parse("W1?(X0,1) R2(X0)=1 W1!(X0) C1 C2");
   CheckOptions opts;
   opts.engine = EngineKind::kGraph;
-  EXPECT_EQ(check_final_state_opacity(h, opts).verdict, Verdict::kYes);
+  EXPECT_EQ(check_with_engine(h, Criterion::kFinalStateOpacity, opts).verdict,
+            Verdict::kYes);
   const CheckResult du = check_du_opacity(h, opts);
   EXPECT_EQ(du.verdict, Verdict::kNo);
   EXPECT_NE(du.explanation.find("deferred-update"), std::string::npos);
@@ -158,8 +166,9 @@ TEST(GraphEngine, OpacityRoutesThroughTheorem11) {
   const History h = history::figures::fig3();
   CheckOptions opts;
   opts.engine = EngineKind::kGraph;
-  EXPECT_EQ(check_final_state_opacity(h, opts).verdict, Verdict::kYes);
-  EXPECT_EQ(check_criterion(h, Criterion::kOpacity, opts).verdict,
+  EXPECT_EQ(check_with_engine(h, Criterion::kFinalStateOpacity, opts).verdict,
+            Verdict::kYes);
+  EXPECT_EQ(check_with_engine(h, Criterion::kOpacity, opts).verdict,
             Verdict::kNo);
 }
 

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "checker/fast_reject.hpp"
-#include "checker/final_state_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/oracle.hpp"
 #include "gen/generator.hpp"
 #include "history/figures.hpp"
@@ -22,7 +22,7 @@ TEST(FastReject, NoFalsePositivesOnPaperFigures) {
   SearchOptions fso;
   for (const auto& h :
        {fig1(), fig2(6), fig3(), fig3_prefix(), fig4(), fig5(), fig6()}) {
-    if (check_final_state_opacity(h).yes()) {
+    if (check_with_engine(h, Criterion::kFinalStateOpacity).yes()) {
       EXPECT_FALSE(fast_reject(h, fso).rejected);
     }
   }

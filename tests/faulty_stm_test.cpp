@@ -5,9 +5,7 @@
 // transactions).
 #include <gtest/gtest.h>
 
-#include "checker/du_opacity.hpp"
-#include "checker/final_state_opacity.hpp"
-#include "checker/strict_serializability.hpp"
+#include "checker/engine.hpp"
 #include "history/printer.hpp"
 #include "stm/tl2.hpp"
 #include "stm/workload.hpp"
@@ -32,9 +30,13 @@ TEST(FaultyTl2, LostUpdateWithoutCommitValidation) {
 
   const auto h = rec.finish(1);
   // Both committed transactions read 0: no order can be legal.
-  EXPECT_TRUE(checker::check_strict_serializability(h).no())
+  EXPECT_TRUE(checker::check_with_engine(
+                  h, checker::Criterion::kStrictSerializability)
+                  .no())
       << history::compact(h);
-  EXPECT_TRUE(checker::check_final_state_opacity(h).no());
+  EXPECT_TRUE(
+      checker::check_with_engine(h, checker::Criterion::kFinalStateOpacity)
+          .no());
   EXPECT_TRUE(checker::check_du_opacity(h).no());
 }
 
@@ -78,11 +80,15 @@ TEST(FaultyTl2, DoomedReadWithoutReadValidation) {
   EXPECT_TRUE(reader->commit());
 
   const auto h = rec.finish(2);
-  EXPECT_TRUE(checker::check_final_state_opacity(h).no())
+  EXPECT_TRUE(
+      checker::check_with_engine(h, checker::Criterion::kFinalStateOpacity)
+          .no())
       << history::compact(h);
   EXPECT_TRUE(checker::check_du_opacity(h).no());
   // Both transactions committed: the committed projection itself is broken.
-  EXPECT_TRUE(checker::check_strict_serializability(h).no());
+  EXPECT_TRUE(checker::check_with_engine(
+                  h, checker::Criterion::kStrictSerializability)
+                  .no());
 }
 
 TEST(FaultyTl2, CorrectTl2AbortsTheDoomedRead) {

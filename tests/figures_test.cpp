@@ -5,13 +5,9 @@
 // checked directly.
 #include <gtest/gtest.h>
 
-#include "checker/du_opacity.hpp"
-#include "checker/final_state_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/legality.hpp"
 #include "checker/opacity.hpp"
-#include "checker/rco_opacity.hpp"
-#include "checker/strict_serializability.hpp"
-#include "checker/tms2.hpp"
 #include "checker/verdict.hpp"
 #include "history/figures.hpp"
 
@@ -78,8 +74,9 @@ TEST(Figure1, FullVector) {
 
 TEST(Figure3, FinalStateOpaqueButPrefixIsNot) {
   const History h = fig3();
-  EXPECT_TRUE(check_final_state_opacity(h).yes());
-  EXPECT_TRUE(check_final_state_opacity(fig3_prefix()).no());
+  EXPECT_TRUE(check_with_engine(h, Criterion::kFinalStateOpacity).yes());
+  EXPECT_TRUE(
+      check_with_engine(fig3_prefix(), Criterion::kFinalStateOpacity).no());
 }
 
 TEST(Figure3, NotOpaqueWithBadPrefixIdentified) {
@@ -153,7 +150,9 @@ TEST(Figure4, LocalSerializationViolationPinpointed) {
 TEST(Figure4, EveryPrefixFinalStateOpaque) {
   const History h = fig4();
   for (std::size_t n = 0; n <= h.size(); ++n)
-    EXPECT_TRUE(check_final_state_opacity(h.prefix(n)).yes()) << n;
+    EXPECT_TRUE(
+        check_with_engine(h.prefix(n), Criterion::kFinalStateOpacity).yes())
+        << n;
 }
 
 TEST(Figure5, DuOpaqueViaT1T3T2) {
@@ -164,7 +163,7 @@ TEST(Figure5, DuOpaqueViaT1T3T2) {
 }
 
 TEST(Figure5, NotRcoOpaque) {
-  EXPECT_TRUE(check_rco_opacity(fig5()).no());
+  EXPECT_TRUE(check_with_engine(fig5(), Criterion::kRcoOpacity).no());
 }
 
 TEST(Figure5, RcoEdgeForcesContradiction) {
@@ -185,7 +184,7 @@ TEST(Figure6, DuOpaqueViaT2T1) {
 }
 
 TEST(Figure6, NotTms2) {
-  EXPECT_TRUE(check_tms2(fig6()).no());
+  EXPECT_TRUE(check_with_engine(fig6(), Criterion::kTms2).no());
 }
 
 TEST(Figure6, Tms2OrderMakesReadIllegal) {
@@ -219,7 +218,7 @@ TEST(AllFigures, StrictSerializabilityHolds) {
   // the paper draws are all about aborted/incomplete transactions.
   for (const History& h :
        {fig1(), fig2(5), fig3(), fig3_prefix(), fig4(), fig5(), fig6()}) {
-    EXPECT_TRUE(check_strict_serializability(h).yes());
+    EXPECT_TRUE(check_with_engine(h, Criterion::kStrictSerializability).yes());
   }
 }
 

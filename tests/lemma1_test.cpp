@@ -5,7 +5,7 @@
 // on the paper's figures and on random populations.
 #include <gtest/gtest.h>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/legality.hpp"
 #include "checker/lemma1.hpp"
 #include "gen/generator.hpp"

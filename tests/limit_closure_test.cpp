@@ -10,7 +10,7 @@
 //   serializations respecting ≺LS exist for complete du-opaque histories.
 #include <gtest/gtest.h>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/legality.hpp"
 #include "checker/search.hpp"
 #include "gen/generator.hpp"

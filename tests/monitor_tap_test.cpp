@@ -9,7 +9,7 @@
 #include <memory>
 #include <thread>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/tap.hpp"
 #include "stm/norec.hpp"

@@ -1,6 +1,6 @@
 // OnlineMonitor tests: latching behavior, the incremental graph fast path,
 // and the core equivalence property — for every prefix of every history,
-// the monitor's verdict equals check_all_prefixes with du_opacity_fn, and
+// the monitor's verdict equals check_all_prefixes with du-opacity, and
 // a latched first_violation() equals the batch checker::first_bad_prefix
 // index (both 0-based). Histories come from the random generators
 // (including mutants around the du boundary) and from recorded
@@ -8,7 +8,6 @@
 // fault-injected variants.
 #include <gtest/gtest.h>
 
-#include "checker/du_opacity.hpp"
 #include "checker/engine.hpp"
 #include "checker/prefix_closure.hpp"
 #include "gen/generator.hpp"
@@ -30,7 +29,8 @@ using history::History;
 // 0-based, so it is check_all_prefixes' first bad length minus one — and
 // its agreement with the two batch-side first-bad-prefix queries.
 void expect_matches_offline(const History& h) {
-  const auto report = checker::check_all_prefixes(h, checker::du_opacity_fn());
+  const auto report = checker::check_all_prefixes(
+      h, checker::criterion_fn(checker::Criterion::kDuOpacity));
   OnlineMonitor mon;
   ASSERT_EQ(mon.verdict(), report.verdicts[0]) << history::compact(h);
   for (std::size_t n = 0; n < h.size(); ++n) {

@@ -2,8 +2,7 @@
 // path, cross-checked against the naive per-prefix implementation.
 #include <gtest/gtest.h>
 
-#include "checker/du_opacity.hpp"
-#include "checker/final_state_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/opacity.hpp"
 #include "gen/generator.hpp"
 #include "history/figures.hpp"
@@ -87,8 +86,11 @@ TEST(Opacity, FirstBadPrefixMinimal) {
   const auto h = history::figures::fig3();
   // Everything strictly shorter must be final-state opaque.
   for (std::size_t n = 0; n < *r.first_bad_prefix; ++n)
-    EXPECT_TRUE(check_final_state_opacity(h.prefix(n)).yes());
-  EXPECT_TRUE(check_final_state_opacity(h.prefix(*r.first_bad_prefix)).no());
+    EXPECT_TRUE(
+        check_with_engine(h.prefix(n), Criterion::kFinalStateOpacity).yes());
+  EXPECT_TRUE(check_with_engine(h.prefix(*r.first_bad_prefix),
+                                Criterion::kFinalStateOpacity)
+                  .no());
 }
 
 TEST(Opacity, OpaqueHistoryAllPrefixesOpaque) {

@@ -7,10 +7,8 @@
 
 #include <thread>
 
-#include "checker/du_opacity.hpp"
-#include "checker/final_state_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/opacity.hpp"
-#include "checker/strict_serializability.hpp"
 #include "history/printer.hpp"
 #include "stm/pessimistic.hpp"
 #include "stm/workload.hpp"
@@ -51,7 +49,9 @@ TEST(Pessimistic, ReadFromNotYetCommittingWriterViolatesDu) {
   EXPECT_TRUE(checker::check_du_opacity(h).no()) << history::compact(h);
   // It is still final-state opaque (writer serialized before reader) — the
   // paper's deferred-update point exactly.
-  EXPECT_TRUE(checker::check_final_state_opacity(h).yes());
+  EXPECT_TRUE(
+      checker::check_with_engine(h, checker::Criterion::kFinalStateOpacity)
+          .yes());
   EXPECT_TRUE(checker::check_opacity(h).no());
 }
 
@@ -85,11 +85,15 @@ TEST(Pessimistic, TornSnapshotViolatesFinalStateOpacity) {
   reader.join();
 
   const auto h = rec.finish(2);
-  EXPECT_TRUE(checker::check_final_state_opacity(h).no())
+  EXPECT_TRUE(
+      checker::check_with_engine(h, checker::Criterion::kFinalStateOpacity)
+          .no())
       << history::compact(h);
   EXPECT_TRUE(checker::check_du_opacity(h).no());
   // Both transactions committed: even the committed projection is broken.
-  EXPECT_TRUE(checker::check_strict_serializability(h).no());
+  EXPECT_TRUE(checker::check_with_engine(
+                  h, checker::Criterion::kStrictSerializability)
+                  .no());
 }
 
 TEST(Pessimistic, NoTransactionEverAborts) {

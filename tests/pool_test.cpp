@@ -5,7 +5,7 @@
 
 #include <vector>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/pool.hpp"
 #include "gen/generator.hpp"
 #include "history/parser.hpp"

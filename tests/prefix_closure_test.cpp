@@ -3,7 +3,7 @@
 // not (Figure 3); the prefix-report machinery itself.
 #include <gtest/gtest.h>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/prefix_closure.hpp"
 #include "gen/generator.hpp"
 #include "history/figures.hpp"
@@ -13,8 +13,8 @@ namespace duo::checker {
 namespace {
 
 TEST(PrefixClosure, Fig3ShowsFinalStateNotPrefixClosed) {
-  const auto report =
-      check_all_prefixes(history::figures::fig3(), final_state_opacity_fn());
+  const auto report = check_all_prefixes(
+      history::figures::fig3(), criterion_fn(Criterion::kFinalStateOpacity));
   EXPECT_FALSE(report.downward_closed);
   ASSERT_TRUE(report.first_no.has_value());
   // The 4-event prefix W1(X,1) R2(X)=1 is the first non-final-state-opaque
@@ -25,8 +25,8 @@ TEST(PrefixClosure, Fig3ShowsFinalStateNotPrefixClosed) {
 }
 
 TEST(PrefixClosure, Fig4DuVerdictsDownwardClosed) {
-  const auto report =
-      check_all_prefixes(history::figures::fig4(), du_opacity_fn());
+  const auto report = check_all_prefixes(
+      history::figures::fig4(), criterion_fn(Criterion::kDuOpacity));
   EXPECT_TRUE(report.downward_closed);
   ASSERT_TRUE(report.first_no.has_value());
   // Once A1 lands (last event), du fails and stays failed.
@@ -45,7 +45,8 @@ TEST_P(DuPrefixClosureProperty, DuOpacityIsDownwardClosed) {
   for (int iter = 0; iter < 12; ++iter) {
     const auto h = (iter % 3 == 0) ? gen::random_history(opts, rng)
                                    : gen::random_du_history(opts, rng);
-    const auto report = check_all_prefixes(h, du_opacity_fn());
+    const auto report =
+        check_all_prefixes(h, criterion_fn(Criterion::kDuOpacity));
     EXPECT_TRUE(report.downward_closed) << history::compact(h);
   }
 }
@@ -58,7 +59,8 @@ TEST_P(DuPrefixClosureProperty, MutantsStayDownwardClosed) {
   for (int iter = 0; iter < 12; ++iter) {
     auto h = gen::random_du_history(opts, rng);
     h = gen::mutate(h, rng);
-    const auto report = check_all_prefixes(h, du_opacity_fn());
+    const auto report =
+        check_all_prefixes(h, criterion_fn(Criterion::kDuOpacity));
     EXPECT_TRUE(report.downward_closed) << history::compact(h);
   }
 }
@@ -85,7 +87,8 @@ TEST(PrefixClosure, SoundnessDuGeneratorAlwaysDuOpaque) {
 
 TEST(PrefixClosure, ReportShapes) {
   const auto h = history::figures::fig1();
-  const auto report = check_all_prefixes(h, du_opacity_fn());
+  const auto report =
+      check_all_prefixes(h, criterion_fn(Criterion::kDuOpacity));
   EXPECT_EQ(report.verdicts.size(), h.size() + 1);
   EXPECT_TRUE(report.downward_closed);
   EXPECT_FALSE(report.first_no.has_value());

@@ -7,7 +7,7 @@
 // non-du-opaque inputs.
 #include <gtest/gtest.h>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/oracle.hpp"
 #include "checker/theorem5.hpp"
 #include "gen/generator.hpp"

@@ -5,7 +5,7 @@
 // OnlineMonitor alike.
 #include <gtest/gtest.h>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/pool.hpp"
 #include "history/printer.hpp"
 #include "monitor/monitor.hpp"
@@ -130,7 +130,7 @@ TEST(TwoPlUndo, ContendedCountersStayExactAndRecordDuOpaque) {
     const auto stats = run_counters(stm, opts);
     EXPECT_TRUE(counters_sum_ok(stm, stats)) << "seed " << seed;
     const auto h = rec.finish(stm.num_objects());
-    checker::DuOpacityOptions copts;
+    checker::CheckOptions copts;
     copts.node_budget = 200'000'000;
     const auto r = checker::check_du_opacity(h, copts);
     EXPECT_FALSE(r.no()) << "seed " << seed << ": " << r.explanation;

@@ -6,7 +6,7 @@
 #include <optional>
 #include <set>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "stm/norec.hpp"
 #include "stm/tl2.hpp"
 #include "txdata/txqueue.hpp"
@@ -132,7 +132,7 @@ TEST(TxHashSet, RecordedContendedRunIsDuOpaque) {
     }
   });
   const auto h = rec.finish(stm.num_objects());
-  checker::DuOpacityOptions opts;
+  checker::CheckOptions opts;
   opts.node_budget = 200'000'000;
   EXPECT_TRUE(checker::check_du_opacity(h, opts).yes());
 }

@@ -1,12 +1,11 @@
 // Experiment E10 — Theorem 11: under unique writes, opacity and du-opacity
 // coincide. Verified with *independent* checkers (per-prefix final-state
 // search vs single du search) on random unique-write populations, plus the
-// routing helper.
+// router's Theorem-11 opacity route.
 #include <gtest/gtest.h>
 
-#include "checker/du_opacity.hpp"
+#include "checker/engine.hpp"
 #include "checker/opacity.hpp"
-#include "checker/unique_writes.hpp"
 #include "gen/generator.hpp"
 #include "history/figures.hpp"
 #include "history/parser.hpp"
@@ -58,18 +57,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UniqueWritesTheorem,
 TEST(UniqueWritesRouting, FastPathTakenWhenUnique) {
   const auto h = history::parse_history_or_die("W1(X0,1) C1 R2(X0)=1 C2");
   ASSERT_TRUE(h.has_unique_writes());
-  const auto report = check_opacity_via_unique_writes(h);
-  EXPECT_TRUE(report.unique_writes);
-  EXPECT_TRUE(report.used_equivalence);
-  EXPECT_EQ(report.opacity, Verdict::kYes);
+  const auto r = check_with_engine(h, Criterion::kOpacity);
+  EXPECT_EQ(r.engine.engine, "graph");  // one du-opacity graph, Theorem 11
+  EXPECT_EQ(r.verdict, Verdict::kYes);
 }
 
 TEST(UniqueWritesRouting, FallbackWhenNotUnique) {
   const auto h = history::figures::fig4();  // duplicate write value 1
   ASSERT_FALSE(h.has_unique_writes());
-  const auto report = check_opacity_via_unique_writes(h);
-  EXPECT_FALSE(report.used_equivalence);
-  EXPECT_EQ(report.opacity, Verdict::kYes);
+  const auto r = check_with_engine(h, Criterion::kOpacity);
+  EXPECT_EQ(r.engine.engine, "dfs");  // the per-prefix scan
+  EXPECT_EQ(r.verdict, Verdict::kYes);
 }
 
 TEST(UniqueWritesRouting, AgreesWithDirectOpacity) {
@@ -81,8 +79,8 @@ TEST(UniqueWritesRouting, AgreesWithDirectOpacity) {
     opts.unique_writes = unique;
     for (int iter = 0; iter < 10; ++iter) {
       const auto h = gen::random_history(opts, rng);
-      const auto report = check_opacity_via_unique_writes(h);
-      EXPECT_EQ(report.opacity, check_opacity_naive(h).verdict)
+      EXPECT_EQ(check_with_engine(h, Criterion::kOpacity).verdict,
+                check_opacity_naive(h).verdict)
           << history::compact(h);
     }
   }

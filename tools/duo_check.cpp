@@ -14,10 +14,11 @@
 // an overflowed recorder, see src/history/parser.hpp) is never given a
 // confident "yes": a clean verdict is reported as inconclusive (exit 2)
 // in single, batch and stream modes alike. A violation stays a violation
-// only for the prefix-closed criteria (du-opacity, opacity), where prefix
-// closure covers the dropped tail; for the others — final-state opacity is
-// the canonical non-prefix-closed case — the dropped tail could restore
-// the property, so a "no" on a truncated trace is downgraded too.
+// only for the prefix-closed criteria (CriterionRow::prefix_closed:
+// du-opacity, opacity), where prefix closure covers the dropped tail; for
+// the others — final-state opacity is the canonical non-prefix-closed
+// case — the dropped tail could restore the property, so a "no" on a
+// truncated trace is downgraded too.
 //
 // Multiple inputs (several files and/or directories): batch mode — the
 // traces are checked concurrently through a CheckerPool and one verdict
@@ -41,9 +42,11 @@
 //   --jobs N, -j N    worker threads in batch mode (default: hardware)
 //   --budget N        DFS node budget per check; exhausting it yields an
 //                     explicit "unknown" verdict instead of a long search
-//   --criterion NAME  criterion to judge under (default du-opacity):
-//                     final-state-opacity|fso, opacity, du-opacity|du,
-//                     rco-opacity|rco, tms2, strict-serializability|sser
+//   --criterion NAME  criterion to judge under (default du-opacity), by
+//                     name or alias (src/checker/criteria.cpp):
+//                     final-state-opacity|final-state|fso, opacity|opaque,
+//                     du-opacity|du, rco-opacity|rco, tms2,
+//                     strict-serializability|strict|sser
 //   --engine NAME     checker engine (default auto): `graph` is the
 //                     polynomial engine for unique-writes histories, `dfs`
 //                     the exponential search, `auto` routes per history
@@ -90,7 +93,6 @@
 #include <string>
 #include <vector>
 
-#include "checker/du_opacity.hpp"
 #include "checker/engine.hpp"
 #include "checker/pool.hpp"
 #include "checker/verdict.hpp"
@@ -110,7 +112,7 @@ namespace fs = std::filesystem;
 struct Options {
   std::vector<std::string> inputs;  // files or "-" (directories expanded)
   std::size_t jobs = 0;             // 0 = hardware concurrency
-  std::uint64_t node_budget = duo::checker::DuOpacityOptions{}.node_budget;
+  std::uint64_t node_budget = duo::checker::CheckOptions{}.node_budget;
   duo::checker::Criterion criterion = duo::checker::Criterion::kDuOpacity;
   bool criterion_set = false;  // --criterion given explicitly
   duo::checker::EngineKind engine = duo::checker::EngineKind::kAuto;
@@ -229,16 +231,6 @@ std::optional<LoadedTrace> parse_trace(const std::string& text,
     return std::nullopt;
   }
   return LoadedTrace{std::move(made).take(), truncated};
-}
-
-/// Criteria whose rejection of a prefix extends to every longer history:
-/// du-opacity (paper Corollary 2) and opacity (every prefix final-state
-/// opaque, by definition). Only for these may a "no" on a truncated trace
-/// stand for the full run, and only for these is the first-bad-prefix
-/// binary search sound.
-bool criterion_prefix_closed(duo::checker::Criterion c) {
-  return c == duo::checker::Criterion::kDuOpacity ||
-         c == duo::checker::Criterion::kOpacity;
 }
 
 /// Pinpoints the first violating event of a du-rejected history at engine
@@ -649,8 +641,8 @@ int check_single(const std::string& path, const Options& opts) {
   // sweep, so --budget (and the wall clock, on 100k-event traces) bounds
   // the work the user asked for, not five other checks.
   if (opts.criterion_set) {
-    const auto r = duo::checker::check_criterion(h, opts.criterion,
-                                                 opts.check_options());
+    const auto r = duo::checker::check_with_engine(h, opts.criterion,
+                                                   opts.check_options());
     const std::string name = duo::checker::to_string(opts.criterion);
     std::printf("%s: %s\n", name.c_str(),
                 duo::checker::to_string(r.verdict).c_str());
@@ -661,18 +653,25 @@ int check_single(const std::string& path, const Options& opts) {
     if (opts.explain_engine) print_engine_line("engine", r.engine);
     if (opts.verbose) print_stats_line(r.stats);
     if (r.yes() && truncated) return inconclusive_truncated();
-    if (r.no() && truncated && !criterion_prefix_closed(opts.criterion))
+    if (r.no() && truncated &&
+        !duo::checker::criterion_row(opts.criterion).prefix_closed)
       return inconclusive_truncated_no(name);
     return r.yes() ? 0 : 2;
   }
 
-  const auto v = duo::checker::evaluate_all(h, opts.check_options());
+  // evaluate_all's loop, keeping du-opacity's result for the report below.
+  duo::checker::VerdictVector v;
+  duo::checker::CheckResult du;
+  for (const auto c : duo::checker::all_criteria()) {
+    auto r = duo::checker::check_with_engine(h, c, opts.check_options());
+    v[c] = r.verdict;
+    if (c == duo::checker::Criterion::kDuOpacity) du = std::move(r);
+  }
   std::printf("verdicts: %s\n", v.to_string().c_str());
   const std::string violation = duo::checker::containment_violations(v);
   if (!violation.empty())
     std::printf("WARNING: containment anomaly: %s\n", violation.c_str());
 
-  const auto du = duo::checker::check_du_opacity(h, opts.check_options());
   if (opts.explain_engine) print_engine_line("engine", du.engine);
   if (opts.verbose) print_stats_line(du.stats);
   if (du.yes()) {
@@ -758,7 +757,7 @@ int check_batch(const Options& opts) {
       std::printf("%s: inconclusive (trace marked truncated)%s\n",
                   opts.inputs[i].c_str(), engine_note.c_str());
     } else if (r.no() && truncated[i] != 0 &&
-               !criterion_prefix_closed(opts.criterion)) {
+               !duo::checker::criterion_row(opts.criterion).prefix_closed) {
       // Without prefix closure a rejection of the recorded prefix says
       // nothing about the full run either.
       ++undecided;

@@ -7,6 +7,21 @@ using history::Op;
 using history::OpKind;
 using history::Transaction;
 
+Edges real_time_chain_edges(const History& h) {
+  const std::size_t n = h.num_txns();
+  const std::vector<std::size_t>& done = h.completion_order();
+  Edges edges;
+  edges.reserve(n + 2 * done.size());
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    edges.emplace_back(done[i], n + i);
+    if (i + 1 < done.size()) edges.emplace_back(n + i, n + i + 1);
+  }
+  for (std::size_t b = 0; b < n; ++b)
+    if (const std::size_t j = h.rt_pred_count(b); j > 0)
+      edges.emplace_back(n + j - 1, b);
+  return edges;
+}
+
 Edges rco_commit_edges(const History& h) {
   Edges edges;
   const std::size_t n = h.num_txns();

@@ -1,9 +1,11 @@
-// Static precedence-edge constraints used by criteria that strengthen
-// final-state opacity with an order condition on specific transaction pairs:
-// the read-commit-order definition of Guerraoui, Henzinger, Singh [6] and
-// the TMS2 condition of Doherty, Groves, Luchangco, Moir [5] (both as
-// described in §4.2 of the paper). Both are conditional: a pair (a, b)
-// binds only in completions that commit b (SearchOptions::commit_edges).
+// Static precedence-edge generators. Real-time order (paper §2), which
+// every criterion enforces, as a completion chain. And the constraints of
+// criteria that strengthen final-state opacity with an order condition on
+// specific transaction pairs: the read-commit-order definition of
+// Guerraoui, Henzinger, Singh [6] and the TMS2 condition of Doherty,
+// Groves, Luchangco, Moir [5] (both as described in §4.2 of the paper).
+// Both are conditional: a pair (a, b) binds only in completions that commit
+// b (SearchOptions::commit_edges).
 #pragma once
 
 #include <utility>
@@ -14,6 +16,16 @@
 namespace duo::checker {
 
 using Edges = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// Real-time order as O(n) edges through a completion chain. Nodes 0..n-1
+/// are tix; node n + i stands for the i-th entry c_i of
+/// h.completion_order(), so the graph has n + completion_order().size()
+/// nodes. Edges: c_i -> n + i (a completion reaches its chain node),
+/// n + i -> n + i + 1 (the chain), and n + j - 1 -> b for every b with
+/// j = h.rt_pred_count(b) > 0. A tix a reaches a tix b through chain nodes
+/// iff a ≺RT b, so reachability among tix, and with it acyclicity and
+/// every topological order, equals that of the quadratic relation.
+Edges real_time_chain_edges(const history::History& h);
 
 /// Read-commit-order edges ([6], §4.2): if a value-returning t-read of X by
 /// T_k responds before the tryC invocation of a transaction T_m that commits

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <vector>
 
+#include "checker/constraints.hpp"
 #include "history/transaction.hpp"
 
 namespace duo::checker {
@@ -51,15 +52,15 @@ std::string read_desc(const History& h, std::size_t k, const Op& op) {
 FastRejectResult fast_reject(const History& h, const SearchOptions& opts) {
   FastRejectResult result;
   const std::size_t n = h.num_txns();
-  std::vector<std::vector<std::size_t>> adj(n);
+  // Nodes 0..n-1 are tix; the rest are real-time completion-chain nodes.
+  std::vector<std::vector<std::size_t>> adj(n + h.completion_order().size());
 
   auto add_edge = [&](std::size_t a, std::size_t b) {
     adj[a].push_back(b);
   };
 
   // Real-time order and caller-supplied static edges.
-  for (std::size_t b = 0; b < n; ++b)
-    h.rt_preds(b).for_each([&](std::size_t a) { add_edge(a, b); });
+  for (const auto& [a, b] : real_time_chain_edges(h)) add_edge(a, b);
   for (const auto& [a, b] : opts.extra_edges) add_edge(a, b);
 
   // Transactions that must commit in every completion: committed in H, plus

@@ -12,7 +12,8 @@
 //   - a read of a value that no can-commit transaction writes forces every
 //     committed-in-H writer of a different value to serialize after the
 //     reader (edges);
-//   - real-time order and caller-supplied edges.
+//   - real-time order (the completion chain of real_time_chain_edges) and
+//     caller-supplied edges.
 // A cycle among necessary edges means no serialization exists.
 //
 // The pre-pass is what makes "no" verdicts on recorded histories from

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "checker/constraints.hpp"
 #include "history/transaction.hpp"
 #include "util/assert.hpp"
 #include "util/incremental_graph.hpp"
@@ -101,7 +102,7 @@ class GraphChecker {
     if (!reject_stale_reads(out)) return out;
     build_base_edges();
 
-    const std::size_t num_nodes = n + completions_.size();
+    const std::size_t num_nodes = n + h_.completion_order().size();
     out.engine.graph_nodes = num_nodes;
 
     // Tier A: canonical install-order version chains, appended in place
@@ -278,23 +279,16 @@ class GraphChecker {
         return install_key_[a] < install_key_[b];
       });
 
-    // Completion chain for the ≺RT sparsification, and deterministic Kahn
-    // keys: transactions by the DFS's commit-order heuristic, chain node i
-    // by the i-th completion event.
-    completions_.clear();
-    for (std::size_t tix = 0; tix < n; ++tix)
-      if (h_.txn(tix).t_complete()) completions_.push_back(tix);
-    std::sort(completions_.begin(), completions_.end(),
-              [&](std::size_t a, std::size_t b) {
-                return h_.txn(a).last_event < h_.txn(b).last_event;
-              });
-    keys_.assign(n + completions_.size(), 0);
+    // Deterministic Kahn keys: transactions by the DFS's commit-order
+    // heuristic, completion-chain node i by the i-th completion event.
+    const std::vector<std::size_t>& done = h_.completion_order();
+    keys_.assign(n + done.size(), 0);
     for (std::size_t tix = 0; tix < n; ++tix) {
       const Transaction& t = h_.txn(tix);
       keys_[tix] = t.tryc_inv.has_value() ? *t.tryc_inv : t.first_event;
     }
-    for (std::size_t i = 0; i < completions_.size(); ++i)
-      keys_[n + i] = h_.txn(completions_[i]).last_event;
+    for (std::size_t i = 0; i < done.size(); ++i)
+      keys_[n + i] = h_.txn(done[i]).last_event;
   }
 
   /// Stale reads are rejected by real-time order alone, at any scale: if a
@@ -309,22 +303,19 @@ class GraphChecker {
   /// start events.
   bool reject_stale_reads(CheckResult& out) {
     const auto num_objects = static_cast<std::size_t>(h_.num_objects());
-    // Per object: committed (t-complete) writers sorted by last_event, and
-    // the running max of first_event over that prefix.
+    // Per object: committed (t-complete) writers in completion order, i.e.
+    // by last_event, and the running max of first_event over that prefix.
     std::vector<std::vector<std::size_t>> done_last(num_objects);
     std::vector<std::vector<std::size_t>> prefix_max_first(num_objects);
-    for (std::size_t x = 0; x < num_objects; ++x) {
-      std::vector<std::size_t> done;
-      for (const std::size_t w : chains_[x])
-        if (h_.txn(w).t_complete()) done.push_back(w);
-      std::sort(done.begin(), done.end(), [&](std::size_t a, std::size_t b) {
-        return h_.txn(a).last_event < h_.txn(b).last_event;
-      });
-      std::size_t max_first = 0;
-      for (const std::size_t w : done) {
-        done_last[x].push_back(h_.txn(w).last_event);
-        max_first = std::max(max_first, h_.txn(w).first_event);
-        prefix_max_first[x].push_back(max_first);
+    for (const std::size_t w : h_.completion_order()) {
+      if (!must_commit_[w]) continue;
+      const Transaction& t = h_.txn(w);
+      for (const auto& [obj, v] : t.final_writes) {
+        const auto x = static_cast<std::size_t>(obj);
+        const std::size_t max_first =
+            prefix_max_first[x].empty() ? 0 : prefix_max_first[x].back();
+        done_last[x].push_back(t.last_event);
+        prefix_max_first[x].push_back(std::max(max_first, t.first_event));
       }
     }
     for (const ReadSite& r : reads_) {
@@ -363,32 +354,14 @@ class GraphChecker {
     DUO_UNREACHABLE("read site without matching op");
   }
 
-  /// Necessary edges only: real-time order (encoded through the completion
-  /// chain: a -> c_rank(a), c_i -> c_i+1, c_j(b) -> b where j(b) counts
-  /// completions before b's first event — O(n) edges for the quadratic
-  /// relation), reads-from, initial-read ordering, and the criterion's
-  /// conditional edges (RCO, TMS2) activated by the forced completion.
+  /// Necessary edges only: real-time order (the completion chain of
+  /// real_time_chain_edges, O(n) edges for the quadratic relation),
+  /// reads-from, initial-read ordering, and the criterion's conditional
+  /// edges (RCO, TMS2) activated by the forced completion.
   void build_base_edges() {
-    const std::size_t n = h_.num_txns();
-    base_edges_.clear();
-    base_edges_.reserve(3 * n + 2 * reads_.size() + commit_edges_.size());
-
-    std::vector<std::size_t> completion_end;  // last_event, ascending
-    completion_end.reserve(completions_.size());
-    for (const std::size_t tix : completions_)
-      completion_end.push_back(h_.txn(tix).last_event);
-    for (std::size_t i = 0; i < completions_.size(); ++i) {
-      base_edges_.emplace_back(completions_[i], n + i);
-      if (i + 1 < completions_.size())
-        base_edges_.emplace_back(n + i, n + i + 1);
-    }
-    for (std::size_t tix = 0; tix < n; ++tix) {
-      const std::size_t j = static_cast<std::size_t>(
-          std::lower_bound(completion_end.begin(), completion_end.end(),
-                           h_.txn(tix).first_event) -
-          completion_end.begin());
-      if (j > 0) base_edges_.emplace_back(n + j - 1, tix);
-    }
+    base_edges_ = real_time_chain_edges(h_);
+    base_edges_.reserve(base_edges_.size() + 2 * reads_.size() +
+                        commit_edges_.size());
 
     for (const ReadSite& r : reads_) {
       if (r.writer != kNone) {
@@ -454,7 +427,7 @@ class GraphChecker {
   ///       precede w, and a writer forced after w must serialize after k.
   CheckResult saturate(CheckResult out) {
     const std::size_t n = h_.num_txns();
-    const std::size_t num_nodes = n + completions_.size();
+    const std::size_t num_nodes = n + h_.completion_order().size();
 
     std::size_t work = 0;
     for (const auto& chain : chains_) work += chain.size() * chain.size();
@@ -605,7 +578,6 @@ class GraphChecker {
   std::vector<std::vector<std::size_t>> reads_by_obj_;  // non-initial only
   std::vector<bool> must_commit_;  // == committed in the forced completion
   std::vector<std::vector<std::size_t>> chains_;  // per object, install order
-  std::vector<std::size_t> completions_;          // tix by last_event
   std::vector<std::uint64_t> install_key_;        // valid for must-commit
   std::vector<std::uint64_t> keys_;               // Kahn priority keys
   EdgeList base_edges_;       // necessary edges; version edges appended

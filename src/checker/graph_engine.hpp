@@ -26,10 +26,11 @@
 //
 //   4. What remains is choosing, per object, a total order over its
 //      committed writers (the version order) and testing acyclicity of the
-//      precedence graph over: real-time edges (sparsified through a
-//      completion-chain encoding, so the quadratic ≺RT relation costs O(n)
-//      edges), reads-from edges, initial-read ordering edges, criterion
-//      edges (TMS2 and read-commit-order edges, activated by the completion),
+//      precedence graph over: real-time edges (sparsified through the
+//      completion chain of checker::real_time_chain_edges, shared with
+//      fast_reject, so the quadratic ≺RT relation costs O(n) edges),
+//      reads-from edges, initial-read ordering edges, criterion edges (TMS2
+//      and read-commit-order edges, activated by the completion),
 //      version-chain edges, and per-read anti-dependency edges to the next
 //      version. If that graph is acyclic, ANY topological order is a valid
 //      serialization (the witness); the engine emits one.

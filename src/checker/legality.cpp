@@ -56,14 +56,14 @@ std::vector<std::string> verify_serialization(const History& h,
 
   if (rules.real_time) {
     for (std::size_t b = 0; b < n; ++b) {
-      h.rt_preds(b).for_each([&](std::size_t a) {
-        if (pos[a] > pos[b]) {
+      for (std::size_t a = 0; a < n; ++a) {
+        if (h.rt_precedes(a, b) && pos[a] > pos[b]) {
           std::ostringstream msg;
           msg << "real-time order violated: T" << h.txn(a).id << " ≺RT T"
               << h.txn(b).id << " but serialized after";
           violations.push_back(msg.str());
         }
-      });
+      }
     }
   }
 

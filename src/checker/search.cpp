@@ -13,6 +13,8 @@ using history::OpKind;
 
 namespace {
 
+constexpr std::size_t kNotCompletion = static_cast<std::size_t>(-1);
+
 /// A read constraint of one transaction, precomputed for the inner loop.
 struct ReadConstraint {
   ObjId obj;
@@ -27,8 +29,13 @@ struct TxnNode {
   bool forced_committed = false;
   bool forced_aborted = false;  // aborted or running in H
   std::size_t sort_key = 0;     // candidate ordering heuristic
-  /// Transactions that must already be placed if this one commits in S
-  /// (SearchOptions::commit_edges targets).
+  /// Number of ≺RT predecessors: the first rt_pred_count entries of the
+  /// completion order must be placed before this one.
+  std::size_t rt_pred_count = 0;
+  /// Transactions that must already be placed (SearchOptions::extra_edges
+  /// sources), and those that must be if this one commits in S
+  /// (SearchOptions::commit_edges sources).
+  std::vector<std::size_t> preds;
   std::vector<std::size_t> commit_preds;
 };
 
@@ -57,7 +64,9 @@ class Searcher {
   Searcher(const History& h, const SearchOptions& opts) : h_(h), opts_(opts) {
     const std::size_t n = h.num_txns();
     nodes_.resize(n);
-    preds_.reserve(n);
+    completion_rank_.assign(n, kNotCompletion);
+    for (std::size_t i = 0; i < h.completion_order().size(); ++i)
+      completion_rank_[h.completion_order()[i]] = i;
     for (std::size_t tix = 0; tix < n; ++tix) {
       const Transaction& t = h.txn(tix);
       TxnNode& node = nodes_[tix];
@@ -73,11 +82,11 @@ class Searcher {
       node.sort_key = (opts.commit_order_heuristic && t.tryc_inv.has_value())
                           ? *t.tryc_inv
                           : t.first_event;
-      preds_.push_back(h.rt_preds(tix));
+      node.rt_pred_count = h.rt_pred_count(tix);
     }
     for (const auto& [a, b] : opts.extra_edges) {
       DUO_EXPECTS(a < n && b < n);
-      preds_[b].set(a);
+      nodes_[b].preds.push_back(a);
     }
     for (const auto& [a, b] : opts.commit_edges) {
       DUO_EXPECTS(a < n && b < n);
@@ -117,6 +126,7 @@ class Searcher {
 
     placed_ = util::DynamicBitset(n);
     committed_ = util::DynamicBitset(n);
+    first_unplaced_completion_ = 0;
     writers_.assign(static_cast<std::size_t>(h_.num_objects()), {});
     seq_.clear();
     seq_.reserve(n);
@@ -187,7 +197,7 @@ class Searcher {
       for (std::size_t oi = skip; oi < order_.size(); ++oi) {
         const std::size_t tix = order_[oi];
         if (placed_.test(tix)) continue;
-        if (!preds_[tix].is_subset_of(placed_)) continue;
+        if (!ready(tix)) continue;
         const TxnNode& node = nodes_[tix];
         const bool eligible = node.forced_aborted || node.writes.empty();
         if (!eligible) continue;
@@ -216,7 +226,7 @@ class Searcher {
       // contended transactions.
       for (const std::size_t tix : order_) {
         if (placed_.test(tix)) continue;
-        if (!preds_[tix].is_subset_of(placed_)) continue;
+        if (!ready(tix)) continue;
         const TxnNode& node = nodes_[tix];
 
         // Commit decision branches: forced for all but commit-pending txns.
@@ -248,6 +258,17 @@ class Searcher {
       stats_.memo_entries = memo_.size();
     }
     return false;
+  }
+
+  /// Every unconditional predecessor of `tix` is placed: all its ≺RT
+  /// predecessors (a prefix of the completion order, so one comparison with
+  /// the cursor) and every extra_edges source.
+  bool ready(std::size_t tix) const {
+    const TxnNode& node = nodes_[tix];
+    if (node.rt_pred_count > first_unplaced_completion_) return false;
+    for (const std::size_t k : node.preds)
+      if (!placed_.test(k)) return false;
+    return true;
   }
 
   /// Try to place `tix`; returns false (without side effects) if its reads
@@ -288,6 +309,10 @@ class Searcher {
         writers_[static_cast<std::size_t>(w.first)].push_back(tix);
     }
     seq_.push_back(tix);
+    const auto& done = h_.completion_order();
+    while (first_unplaced_completion_ < done.size() &&
+           placed_.test(done[first_unplaced_completion_]))
+      ++first_unplaced_completion_;
     return true;
   }
 
@@ -295,6 +320,10 @@ class Searcher {
     DUO_ASSERT(!seq_.empty() && seq_.back() == tix);
     seq_.pop_back();
     placed_.reset(tix);
+    // Only `tix` became unplaced: the cursor falls back to its rank if that
+    // is lower.
+    first_unplaced_completion_ =
+        std::min(first_unplaced_completion_, completion_rank_[tix]);
     if (commit) {
       committed_.reset(tix);
       for (const auto& w : nodes_[tix].writes) {
@@ -340,13 +369,17 @@ class Searcher {
   const History& h_;
   const SearchOptions& opts_;
   std::vector<TxnNode> nodes_;
-  std::vector<util::DynamicBitset> preds_;
+  std::vector<std::size_t> completion_rank_;  // index in completion order
   std::vector<std::size_t> order_;
 
   util::DynamicBitset placed_;
   util::DynamicBitset committed_;
   std::vector<std::vector<std::size_t>> writers_;  // per object
   std::vector<std::size_t> seq_;
+  /// Rank of the first unplaced completion: the completions ranked below it
+  /// are all placed, so a transaction with k ≺RT predecessors is
+  /// real-time-ready iff k <= this.
+  std::size_t first_unplaced_completion_ = 0;
   std::unordered_set<MemoKey, MemoKeyHash> memo_;
   SearchStats stats_;
   bool budget_exhausted_ = false;

@@ -5,8 +5,10 @@
 // an exhaustive DFS over topological extensions of the precedence relation
 // with three accelerations:
 //
-//   1. Constraint propagation: real-time edges and caller-supplied edges
-//      (RCO, TMS2, ≺LS) restrict the candidate set at every step.
+//   1. Constraint propagation: real-time order and caller-supplied edges
+//      (RCO, TMS2, ≺LS) restrict the candidate set at every step. ≺RT is
+//      checked against a cursor over History::completion_order(), so it
+//      costs O(1) per candidate and no per-transaction set.
 //   2. Exact incremental legality: a transaction's reads are checked at the
 //      moment it is placed. Both the global and the deferred-update local
 //      condition depend only on the committed writers placed *before* the

@@ -145,6 +145,7 @@ void History::derive() {
   txns_.clear();
   tix_to_id_.clear();
   commit_pending_.clear();
+  completion_order_.clear();
   id_to_tix_plus1_.clear();
 
   // First pass: discover transactions in order of first event.
@@ -180,6 +181,10 @@ void History::derive() {
       op.resp_index = i;
       op.aborted = e.aborted;
       if (e.op == OpKind::kRead && !e.aborted) op.result = e.value;
+      // C_k or A_k: the transaction's last event, so this walk visits the
+      // t-complete transactions in order of their last event.
+      if (e.aborted || e.op == OpKind::kTryCommit)
+        completion_order_.push_back(id_to_tix_plus1_[id] - 1);
     }
   }
 
@@ -228,17 +233,6 @@ void History::derive() {
     t.final_writes = std::move(own_writes);
     if (t.status == TxnStatus::kCommitPending) commit_pending_.push_back(tix);
   }
-
-  // Real-time order: a ≺RT b iff a is t-complete and ends before b begins.
-  const std::size_t n = txns_.size();
-  rt_preds_.assign(n, util::DynamicBitset(n));
-  for (std::size_t a = 0; a < n; ++a) {
-    if (!txns_[a].t_complete()) continue;
-    for (std::size_t b = 0; b < n; ++b) {
-      if (a == b) continue;
-      if (txns_[a].last_event < txns_[b].first_event) rt_preds_[b].set(a);
-    }
-  }
 }
 
 Value History::initial_value(ObjId x) const {
@@ -264,12 +258,18 @@ bool History::participates(TxnId id) const noexcept {
 
 bool History::rt_precedes(std::size_t a, std::size_t b) const {
   DUO_EXPECTS(a < txns_.size() && b < txns_.size());
-  return rt_preds_[b].test(a);
+  return txns_[a].t_complete() && txns_[a].last_event < txns_[b].first_event;
 }
 
-const util::DynamicBitset& History::rt_preds(std::size_t b) const {
+std::size_t History::rt_pred_count(std::size_t b) const {
   DUO_EXPECTS(b < txns_.size());
-  return rt_preds_[b];
+  const std::size_t first = txns_[b].first_event;
+  return static_cast<std::size_t>(
+      std::partition_point(completion_order_.begin(), completion_order_.end(),
+                           [&](std::size_t a) {
+                             return txns_[a].last_event < first;
+                           }) -
+      completion_order_.begin());
 }
 
 util::DynamicBitset History::live_set(std::size_t tix) const {

@@ -58,12 +58,22 @@ class History {
 
   // -- derived relations ---------------------------------------------------
   /// Real-time order on transactions (paper §2): a ≺RT b iff a is t-complete
-  /// and a's last event precedes b's first event. Indices are tix.
+  /// and a's last event precedes b's first event. Indices are tix. An
+  /// interval order, so it is one comparison of two event indices; nothing
+  /// is stored per pair.
   bool rt_precedes(std::size_t a, std::size_t b) const;
 
-  /// Set of tix that must precede `b` in any serialization (its ≺RT
-  /// predecessors), as a bitset over tix space.
-  const util::DynamicBitset& rt_preds(std::size_t b) const;
+  /// The completion order: every t-complete tix, in increasing order of its
+  /// last event (its C_k or A_k response). The ≺RT predecessors of any b
+  /// are exactly a prefix of it, of length rt_pred_count(b); the checkers
+  /// encode ≺RT as a chain over this order (checker::real_time_chain_edges).
+  const std::vector<std::size_t>& completion_order() const noexcept {
+    return completion_order_;
+  }
+
+  /// Number of ≺RT predecessors of `b`: the completions whose last event
+  /// precedes b's first event. O(log n).
+  std::size_t rt_pred_count(std::size_t b) const;
 
   /// Live set of T (paper §3, before Lemma 4): all transactions whose event
   /// spans overlap T's (T included).
@@ -111,7 +121,7 @@ class History {
   std::vector<Transaction> txns_;
   std::vector<TxnId> tix_to_id_;
   std::vector<std::size_t> commit_pending_;
-  std::vector<util::DynamicBitset> rt_preds_;
+  std::vector<std::size_t> completion_order_;
 
   // id -> tix + 1, 0 = absent; ids can be sparse but small in practice.
   std::vector<std::size_t> id_to_tix_plus1_;

@@ -19,8 +19,8 @@
 // A latched violation, a parse error, or a malformed event stream makes
 // the pipeline *stop*: the submit() that hit it and every later one return
 // false (per prefix closure the latched verdict covers everything unread).
-// finish() returns the final result either way. duo_mond, duo_check
-// --serve and duo_check --stream all ingest through this one loop.
+// finish() returns the final result either way. duo_mond and duo_check
+// --stream both ingest through this one loop.
 #pragma once
 
 #include <cstddef>

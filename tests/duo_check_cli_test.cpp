@@ -1,7 +1,8 @@
 // End-to-end tests for the duo_check CLI: exit codes (0 du-opaque /
 // 2 violation / 1 input error), the empty-trace and missing-file
 // distinction, --budget, and the multi-file / directory / --jobs batch
-// modes. The binary path arrives via DUO_CHECK_BIN (set by CTest).
+// modes; and for the duo_mond daemon CLI. The binary paths arrive via
+// DUO_CHECK_BIN and DUO_MOND_BIN (set by CTest).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -24,15 +25,19 @@ namespace fs = std::filesystem;
 
 class DuoCheckCli : public ::testing::Test {
  protected:
+  /// Environment variable naming the binary under test.
+  virtual const char* bin_var() const { return "DUO_CHECK_BIN"; }
+
   void SetUp() override {
-    const char* bin = std::getenv("DUO_CHECK_BIN");
+    const char* bin = std::getenv(bin_var());
     ASSERT_NE(bin, nullptr)
-        << "DUO_CHECK_BIN not set (run through CTest or export it)";
+        << bin_var() << " not set (run through CTest or export it)";
     bin_ = bin;
     ASSERT_TRUE(fs::exists(bin_)) << bin_;
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = fs::path(::testing::TempDir()) /
-           (std::string("duo_check_cli_") + info->name());
+           (std::string("duo_cli_") + info->test_suite_name() + "_" +
+            info->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
@@ -46,7 +51,7 @@ class DuoCheckCli : public ::testing::Test {
     return p.string();
   }
 
-  /// Runs duo_check with `args`, returns the exit code; stdout is captured
+  /// Runs the binary with `args`, returns the exit code; stdout is captured
   /// into `stdout_`.
   int run(const std::string& args) {
     const fs::path out = dir_ / "stdout.txt";
@@ -402,27 +407,32 @@ TEST_F(DuoCheckCli, FollowModeReportsTruncationAsInconclusive) {
   EXPECT_NE(stdout_.find("truncated"), std::string::npos) << stdout_;
 }
 
-TEST_F(DuoCheckCli, ServeModeVerifiesATraceThroughThePipeline) {
+TEST_F(DuoCheckCli, ServeIsNotAnOption) {
+  // The daemon is duo_mond; duo_check has no in-process copy of it.
   const auto trace = write_trace("ok.txt", kOpaque);
-  EXPECT_EQ(run("--serve --idle-ms 100 " + trace), 0) << stdout_;
+  EXPECT_EQ(run("--serve --idle-ms 100 " + trace), 1);
+}
+
+/// The same harness driving the duo_mond binary.
+class DuoMondCli : public DuoCheckCli {
+ protected:
+  const char* bin_var() const override { return "DUO_MOND_BIN"; }
+};
+
+TEST_F(DuoMondCli, VerifiesATraceThroughThePipeline) {
+  const auto trace = write_trace("ok.txt", kOpaque);
+  EXPECT_EQ(run("--idle-ms 100 " + trace), 0) << stdout_;
   EXPECT_NE(stdout_.find("du-opaque after 8 events"), std::string::npos)
       << stdout_;
 }
 
-TEST_F(DuoCheckCli, ServeModeLatchesViolations) {
+TEST_F(DuoMondCli, LatchesViolations) {
   const auto trace = write_trace("bad.txt", kViolating);
-  EXPECT_EQ(run("--serve --idle-ms 100 " + trace), 2) << stdout_;
-  // Same 1-based phrasing as --stream ("event 4" = the read response).
+  EXPECT_EQ(run("--idle-ms 100 " + trace), 2) << stdout_;
+  // Same 1-based phrasing as duo_check --stream ("event 4" = the read
+  // response).
   EXPECT_NE(stdout_.find("VIOLATION at event 4"), std::string::npos)
       << stdout_;
-}
-
-TEST_F(DuoCheckCli, ServeModeRejectsIncompatibleFlags) {
-  const auto trace = write_trace("ok.txt", kOpaque);
-  EXPECT_EQ(run("--serve - < " + trace), 1);          // needs a real file
-  EXPECT_EQ(run("--serve --stream " + trace), 1);     // modes are exclusive
-  EXPECT_EQ(run("--serve --follow " + trace), 1);     // --serve implies it
-  EXPECT_EQ(run("--serve --criterion fso " + trace), 1);  // du-only
 }
 
 TEST_F(DuoCheckCli, ListStmsPrintsTheBackendRegistry) {

@@ -85,6 +85,28 @@ TEST(FastReject, RealTimeCycleImpossibleByConstruction) {
   EXPECT_TRUE(fast_reject(h, {}).rejected);
 }
 
+TEST(FastReject, CycleThroughSeveralRealTimeStepsAndOneReadsFrom) {
+  // T2 reads T1's value, but T2 ≺RT T3 ≺RT T1: the only cycle is the
+  // reads-from edge T1 -> T2 closed by real time, which the completion
+  // chain carries over two chain nodes (T2's, then T3's, into T1).
+  const auto h =
+      parse_history_or_die("R2(X0)=5 C2 W3(X1,1) C3 W1(X0,5) C1");
+  ASSERT_EQ(h.completion_order().size(), 3u);
+  EXPECT_EQ(h.rt_pred_count(h.tix_of(1)), 2u);
+  const auto r = fast_reject(h, {});
+  ASSERT_TRUE(r.rejected);
+  EXPECT_NE(r.reason.find("cycle"), std::string::npos) << r.reason;
+  SearchOptions search_only;
+  search_only.use_fast_reject = false;
+  EXPECT_EQ(find_serialization(h, search_only).outcome,
+            Outcome::kNotSerializable);
+  // With T1 moved before T2 the same transactions are serializable.
+  EXPECT_TRUE(find_serialization(
+                  parse_history_or_die("W1(X0,5) C1 R2(X0)=5 C2 W3(X1,1) C3"),
+                  search_only)
+                  .found());
+}
+
 TEST(FastReject, NeverContradictsOracle) {
   util::Xoshiro256 rng(13131);
   gen::GenOptions opts;

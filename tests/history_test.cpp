@@ -2,6 +2,10 @@
 // transaction structure, real-time order, live sets, prefixes, equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "gen/generator.hpp"
 #include "history/builder.hpp"
 #include "history/history.hpp"
 #include "history/parser.hpp"
@@ -190,6 +194,77 @@ TEST(RealTimeOrder, NonTCompleteNeverPrecedes) {
                         .tryc(2)
                         .build();
   EXPECT_FALSE(h.rt_precedes(h.tix_of(1), h.tix_of(2)));
+}
+
+/// ≺RT and the completion order recomputed from the raw events alone, and
+/// compared with the History's query and its recorded order.
+void expect_real_time_matches_events(const History& h) {
+  struct Span {
+    std::size_t first = 0, last = 0;
+    bool t_complete = false;
+  };
+  std::map<TxnId, Span> spans;
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    const Event& e = h.events()[i];
+    const bool seen = spans.contains(e.txn);
+    Span& s = spans[e.txn];
+    if (!seen) s.first = i;
+    s.last = i;
+    // A C_k or A_k response is a transaction's last event.
+    s.t_complete =
+        e.is_response() && (e.aborted || e.op == OpKind::kTryCommit);
+  }
+  const std::size_t n = h.num_txns();
+  ASSERT_EQ(spans.size(), n);
+  std::vector<Span> by_tix(n);
+  for (const auto& [id, s] : spans) by_tix[h.tix_of(id)] = s;
+
+  std::vector<std::size_t> done;
+  for (std::size_t a = 0; a < n; ++a)
+    if (by_tix[a].t_complete) done.push_back(a);
+  std::sort(done.begin(), done.end(), [&](std::size_t a, std::size_t b) {
+    return by_tix[a].last < by_tix[b].last;
+  });
+  EXPECT_EQ(h.completion_order(), done);
+
+  for (std::size_t b = 0; b < n; ++b) {
+    std::size_t preds = 0;
+    for (std::size_t a = 0; a < n; ++a) {
+      const bool rt = a != b && by_tix[a].t_complete &&
+                      by_tix[a].last < by_tix[b].first;
+      EXPECT_EQ(h.rt_precedes(a, b), rt) << "a=" << a << " b=" << b;
+      if (rt) ++preds;
+    }
+    EXPECT_EQ(h.rt_pred_count(b), preds) << "b=" << b;
+  }
+}
+
+TEST(RealTimeOrder, QueryMatchesEventDefinitionOnGeneratedHistories) {
+  // Generous lifecycle knobs so aborted, commit-pending, running and
+  // incomplete transactions all occur, in full histories and in their
+  // prefixes (which cut transactions mid-operation).
+  gen::GenOptions opts;
+  opts.num_txns = 8;
+  opts.leave_running_prob = 0.2;
+  opts.commit_pending_prob = 0.2;
+  opts.tryc_abort_prob = 0.2;
+  opts.drop_last_response_prob = 0.2;
+  util::Xoshiro256 rng(2013);
+  std::size_t aborted = 0, pending = 0, running = 0;
+  for (int iter = 0; iter < 60; ++iter) {
+    const History h = iter % 2 == 0 ? gen::random_history(opts, rng)
+                                    : gen::random_du_history(opts, rng);
+    for (const Transaction& t : h.transactions()) {
+      aborted += t.aborted() ? 1 : 0;
+      pending += t.commit_pending() ? 1 : 0;
+      running += t.status == TxnStatus::kRunning ? 1 : 0;
+    }
+    for (std::size_t n = 0; n <= h.size(); ++n)
+      expect_real_time_matches_events(h.prefix(n));
+  }
+  EXPECT_GT(aborted, 0u);
+  EXPECT_GT(pending, 0u);
+  EXPECT_GT(running, 0u);
 }
 
 TEST(LiveSets, OverlapStructure) {

@@ -10,6 +10,7 @@
 #include "gen/generator.hpp"
 #include "history/builder.hpp"
 #include "history/figures.hpp"
+#include "history/parser.hpp"
 #include "history/printer.hpp"
 
 namespace duo::checker {
@@ -123,6 +124,27 @@ TEST(Search, ExtraEdgeMakesUnsatisfiable) {
   EXPECT_TRUE(find_serialization(h, so).found());
   so.extra_edges = {{h.tix_of(2), h.tix_of(1)}};
   EXPECT_EQ(find_serialization(h, so).outcome, Outcome::kNotSerializable);
+}
+
+TEST(Search, ExtraEdgeAgainstRealTimeOrderIsUnsatisfiable) {
+  // T1 ≺RT T2 ≺RT T3 with no reads, so only precedence constrains the
+  // order: an extra edge along real time is harmless, one against it
+  // closes a cycle through the completion chain.
+  const History h = history::parse_history_or_die(
+      "W1(X0,1) C1 W2(X0,2) C2 W3(X1,3) C3");
+  const auto t1 = h.tix_of(1), t3 = h.tix_of(3);
+  for (const bool pre_pass : {false, true}) {
+    SearchOptions so;
+    so.use_fast_reject = pre_pass;
+    so.extra_edges = {{t1, t3}};
+    const auto along = find_serialization(h, so);
+    ASSERT_TRUE(along.found()) << pre_pass;
+    EXPECT_EQ(along.witness->order, (std::vector<std::size_t>{0, 1, 2}));
+    so.extra_edges = {{t3, t1}};
+    const auto against = find_serialization(h, so);
+    EXPECT_EQ(against.outcome, Outcome::kNotSerializable) << pre_pass;
+    EXPECT_EQ(against.stats.fast_rejected, pre_pass);
+  }
 }
 
 struct SearchVsOracleCase {

@@ -62,26 +62,22 @@
 //                     with exponential backoff (1ms..250ms) until the file
 //                     stops growing for --idle-ms; rotation or truncation
 //                     of the file ends the follow as inconclusive
-//   --idle-ms N       --follow/--serve idle cutoff in milliseconds
+//   --idle-ms N       --follow idle cutoff in milliseconds
 //                     (default 2000; 0 follows forever)
-//   --serve           duo_mond in-process: follow the file through the
-//                     ingest pipeline with monitor GC on, stats to
-//                     stderr, final verdict flushed on SIGINT/SIGTERM or
-//                     the idle cutoff (see src/service/daemon.hpp)
-//   --shards N        monitor object shards for --stream/--serve (default
-//                     1; 0 = one per hardware thread); verdicts are
-//                     identical for every value
-//   --max-chunk B     with --serve: largest chunk one follow poll hands
-//                     the pipeline, in bytes (default 262144; must be >= 1)
+//   --shards N        monitor object shards for --stream (default 1;
+//                     0 = one per hardware thread); verdicts are identical
+//                     for every value
 //   --list-stms       print the STM backend registry (name, update policy,
 //                     rollback capability, declared du-opacity expectation)
 //                     and exit
 //
 // Exit code: 0 if every input satisfies the criterion, 2 if any does not
 // (or is undecided within budget), 1 on usage/input errors.
+//
+// The long-running daemon over a growing trace (monitor GC on, periodic
+// stats, final verdict on SIGINT/SIGTERM) is the separate tool duo_mond.
 #include <algorithm>
 #include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -103,9 +99,6 @@
 #include "util/table.hpp"
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-void handle_stop(int) { g_stop = 1; }
 
 namespace fs = std::filesystem;
 
@@ -133,14 +126,9 @@ struct Options {
   bool stream = false;
   bool follow = false;
   std::uint64_t idle_ms = 2000;
-  // Service mode (--serve): the duo_mond daemon loop in-process — follow
-  // the file through the ingest pipeline with monitor GC on.
-  bool serve = false;
-  // Monitor object shards for --stream/--serve (1 = serial derive,
-  // 0 = one per hardware thread). Verdicts are identical for every value.
+  // Monitor object shards for --stream (1 = serial derive, 0 = one per
+  // hardware thread). Verdicts are identical for every value.
   std::size_t shards = 1;
-  // --serve follow-chunk cap in bytes; 0 = FollowOptions' default.
-  std::size_t max_chunk_bytes = 0;
 };
 
 void print_usage(std::FILE* out) {
@@ -150,10 +138,6 @@ void print_usage(std::FILE* out) {
                "<trace-file|directory|->...\n"
                "       duo_check --stream [--follow] [--idle-ms N] "
                "[--shards N] <trace-file|->\n"
-               "       duo_check --serve [--idle-ms N] "
-               "[--shards N] [--max-chunk BYTES] "
-               "<trace-file>   (duo_mond in-process; --idle-ms 0 follows "
-               "forever)\n"
                "       duo_check --list-stms\n"
                "trace format: W1(X0,1) R2(X0)=1 C1 C2 ... "
                "(see src/history/parser.hpp)\n");
@@ -325,10 +309,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.stream = true;
       continue;
     }
-    if (arg == "--serve") {
-      opts.serve = true;
-      continue;
-    }
     if (arg == "--follow") {
       opts.follow = true;
       continue;
@@ -377,13 +357,13 @@ bool parse_args(int argc, char** argv, Options& opts) {
       continue;
     }
     if (arg == "--jobs" || arg == "-j" || arg == "--budget" ||
-        arg == "--idle-ms" || arg == "--shards" || arg == "--max-chunk") {
+        arg == "--idle-ms" || arg == "--shards") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "duo_check: %s requires a value\n", arg.c_str());
         return false;
       }
       std::uint64_t value = 0;
-      // 0 is meaningful for --idle-ms (follow/serve forever) and --shards
+      // 0 is meaningful for --idle-ms (follow forever) and --shards
       // (one shard per hardware thread) only.
       if (!parse_count(argv[++i], value) ||
           (value == 0 && arg != "--idle-ms" && arg != "--shards")) {
@@ -397,8 +377,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
         opts.idle_ms = value;
       } else if (arg == "--shards") {
         opts.shards = static_cast<std::size_t>(value);
-      } else if (arg == "--max-chunk") {
-        opts.max_chunk_bytes = static_cast<std::size_t>(value);
       } else {
         opts.jobs = static_cast<std::size_t>(value);
       }
@@ -414,34 +392,9 @@ bool parse_args(int argc, char** argv, Options& opts) {
     print_usage(stderr);
     return false;
   }
-  if (opts.max_chunk_bytes != 0 && !opts.serve) {
-    std::fprintf(stderr, "duo_check: --max-chunk requires --serve\n");
+  if (opts.shards != 1 && !opts.stream) {
+    std::fprintf(stderr, "duo_check: --shards requires --stream\n");
     return false;
-  }
-  if (opts.shards != 1 && !opts.serve && !opts.stream) {
-    std::fprintf(stderr, "duo_check: --shards requires --stream or --serve\n");
-    return false;
-  }
-  if (opts.serve) {
-    if (opts.stream || opts.follow) {
-      std::fprintf(stderr,
-                   "duo_check: --serve replaces --stream/--follow (it "
-                   "implies following)\n");
-      return false;
-    }
-    if (raw_inputs.size() != 1 || raw_inputs[0] == "-") {
-      std::fprintf(stderr, "duo_check: --serve takes exactly one file\n");
-      return false;
-    }
-    if (opts.criterion_set &&
-        opts.criterion != duo::checker::Criterion::kDuOpacity) {
-      std::fprintf(stderr,
-                   "duo_check: --serve monitors du-opacity only (the "
-                   "prefix-closed criterion that makes latching sound)\n");
-      return false;
-    }
-    opts.inputs = raw_inputs;
-    return true;
   }
   if (opts.stream) {
     if (raw_inputs.size() != 1) {
@@ -575,26 +528,6 @@ int check_stream(const Options& opts) {
               "retry with a larger --budget)\n",
               stats.events);
   return 2;
-}
-
-/// --serve: the duo_mond daemon loop in-process — follow the file through
-/// the ingest pipeline with monitor GC on, periodic stats to stderr, final
-/// verdict on stdout. SIGINT/SIGTERM trigger the orderly verdict flush
-/// instead of killing the process mid-check.
-int check_serve(const Options& opts) {
-  duo::service::DaemonOptions dopts;
-  dopts.trace_path = opts.inputs[0];
-  dopts.follow.idle_ms = opts.idle_ms;
-  dopts.follow.stop = &g_stop;
-  if (opts.max_chunk_bytes != 0)
-    dopts.follow.max_chunk_bytes = opts.max_chunk_bytes;
-  dopts.pipeline.monitor.gc = true;
-  dopts.pipeline.monitor.node_budget = opts.node_budget;
-  dopts.pipeline.monitor.engine = opts.engine;
-  dopts.pipeline.monitor.shards = opts.shards;
-  std::signal(SIGINT, handle_stop);
-  std::signal(SIGTERM, handle_stop);
-  return duo::service::run_daemon(dopts).exit_code;
 }
 
 /// Detailed single-trace report (the original duo_check output).
@@ -798,7 +731,6 @@ int check_batch(const Options& opts) {
 int main(int argc, char** argv) {
   Options opts;
   if (!parse_args(argc, argv, opts)) return 1;
-  if (opts.serve) return check_serve(opts);
   if (opts.stream) return check_stream(opts);
   if (!opts.batch && opts.inputs.size() == 1)
     return check_single(opts.inputs[0], opts);

@@ -34,9 +34,11 @@ struct CriterionRow {
   std::array<std::string_view, 2> aliases = {};  // extra CLI names
   /// Def. 3(3): every read legal in its local serialization.
   bool deferred_update = false;
-  /// Conditional order edges (a, b): a precedes b if b commits in the
-  /// completion. rco_commit_edges, tms2_edges, or nullptr for none.
-  Edges (*commit_edges)(const history::History&) = nullptr;
+  /// Conditional order: a precedes b if b commits in the completion, in
+  /// CommitOrder's chain form (the graph engine reads it as is, the DFS
+  /// through commit_pairs). rco_commit_edges, tms2_edges, or nullptr for
+  /// none.
+  CommitOrder (*commit_edges)(const history::History&) = nullptr;
   /// Judge the committed projection instead of the history.
   bool committed_projection = false;
   /// Every prefix must satisfy the row (opacity, Def. 5).

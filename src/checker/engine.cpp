@@ -57,7 +57,8 @@ class DfsEngine final : public Engine {
     const history::History& target = projection ? *projection : h;
     SearchOptions so;
     so.deferred_update = row.deferred_update;
-    if (row.commit_edges != nullptr) so.commit_edges = row.commit_edges(target);
+    if (row.commit_edges != nullptr)
+      so.commit_edges = commit_pairs(row.commit_edges(target));
     so.node_budget = opts.node_budget;
     so.memo_cap = opts.memo_cap;
     SearchResult r = find_serialization(target, so);

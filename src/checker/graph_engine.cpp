@@ -86,13 +86,11 @@ std::optional<std::vector<std::size_t>> topological_order(
 
 class GraphChecker {
  public:
-  GraphChecker(const History& h, bool deferred, EdgeList commit_edges)
-      : h_(h), deferred_(deferred), commit_edges_(std::move(commit_edges)) {}
+  GraphChecker(const History& h, bool deferred, CommitOrder commit_order)
+      : h_(h), deferred_(deferred), commit_order_(std::move(commit_order)) {}
 
   CheckResult run() {
     CheckResult out;
-    const std::size_t n = h_.num_txns();
-
     if (!check_internal_reads(out)) return out;
     if (!resolve_reads_from(out)) return out;
 
@@ -102,7 +100,7 @@ class GraphChecker {
     if (!reject_stale_reads(out)) return out;
     build_base_edges();
 
-    const std::size_t num_nodes = n + h_.completion_order().size();
+    const std::size_t num_nodes = keys_.size();
     out.engine.graph_nodes = num_nodes;
 
     // Tier A: canonical install-order version chains, appended in place
@@ -280,9 +278,12 @@ class GraphChecker {
       });
 
     // Deterministic Kahn keys: transactions by the DFS's commit-order
-    // heuristic, completion-chain node i by the i-th completion event.
+    // heuristic, completion-chain node i by the i-th completion event, and
+    // the criterion's chain nodes 0, so each is taken as soon as it is
+    // ready and the transactions come out in the order the pairs it stands
+    // for would give.
     const std::vector<std::size_t>& done = h_.completion_order();
-    keys_.assign(n + done.size(), 0);
+    keys_.assign(n + done.size() + commit_order_.chain_nodes, 0);
     for (std::size_t tix = 0; tix < n; ++tix) {
       const Transaction& t = h_.txn(tix);
       keys_[tix] = t.tryc_inv.has_value() ? *t.tryc_inv : t.first_event;
@@ -357,11 +358,13 @@ class GraphChecker {
   /// Necessary edges only: real-time order (the completion chain of
   /// real_time_chain_edges, O(n) edges for the quadratic relation),
   /// reads-from, initial-read ordering, and the criterion's conditional
-  /// edges (RCO, TMS2) activated by the forced completion.
+  /// order (RCO, TMS2) activated by the forced completion. Node layout:
+  /// tix 0..n-1, then the completion chain, then the criterion's chain
+  /// nodes.
   void build_base_edges() {
     base_edges_ = real_time_chain_edges(h_);
     base_edges_.reserve(base_edges_.size() + 2 * reads_.size() +
-                        commit_edges_.size());
+                        commit_order_.edges.size());
 
     for (const ReadSite& r : reads_) {
       if (r.writer != kNone) {
@@ -375,8 +378,15 @@ class GraphChecker {
       }
     }
 
-    for (const auto& [a, b] : commit_edges_)
-      if (must_commit_[b]) base_edges_.emplace_back(a, b);
+    // CommitOrder's binding rule: an edge into a tix binds when the forced
+    // completion commits it, an edge into a chain node always.
+    const std::size_t n = h_.num_txns();
+    DUO_ASSERT(commit_order_.edges.empty() || commit_order_.num_txns == n);
+    const std::size_t shift = h_.completion_order().size();
+    const auto node = [&](std::size_t v) { return v < n ? v : v + shift; };
+    for (const auto& [a, b] : commit_order_.edges)
+      if (b >= n || must_commit_[b])
+        base_edges_.emplace_back(node(a), node(b));
     base_count_ = base_edges_.size();
   }
 
@@ -427,7 +437,7 @@ class GraphChecker {
   ///       precede w, and a writer forced after w must serialize after k.
   CheckResult saturate(CheckResult out) {
     const std::size_t n = h_.num_txns();
-    const std::size_t num_nodes = n + h_.completion_order().size();
+    const std::size_t num_nodes = keys_.size();
 
     std::size_t work = 0;
     for (const auto& chain : chains_) work += chain.size() * chain.size();
@@ -572,21 +582,21 @@ class GraphChecker {
 
   const History& h_;
   const bool deferred_;
-  const EdgeList commit_edges_;
+  const CommitOrder commit_order_;
 
   std::vector<ReadSite> reads_;
   std::vector<std::vector<std::size_t>> reads_by_obj_;  // non-initial only
   std::vector<bool> must_commit_;  // == committed in the forced completion
   std::vector<std::vector<std::size_t>> chains_;  // per object, install order
   std::vector<std::uint64_t> install_key_;        // valid for must-commit
-  std::vector<std::uint64_t> keys_;               // Kahn priority keys
+  std::vector<std::uint64_t> keys_;  // Kahn priority keys, one per node
   EdgeList base_edges_;       // necessary edges; version edges appended
   std::size_t base_count_ = 0;  // boundary of the necessary prefix
 };
 
 CheckResult run_graph_check(const History& h, bool deferred,
-                            EdgeList commit_edges) {
-  GraphChecker checker(h, deferred, std::move(commit_edges));
+                            CommitOrder commit_order) {
+  GraphChecker checker(h, deferred, std::move(commit_order));
   return checker.run();
 }
 
@@ -633,7 +643,7 @@ CheckResult GraphEngine::check_supported(const history::History& h,
   // du-opacity graph decides the per-prefix row without a scan.
   CheckResult r = run_graph_check(
       target, row.deferred_update || row.per_prefix,
-      row.commit_edges != nullptr ? row.commit_edges(target) : EdgeList{});
+      row.commit_edges != nullptr ? row.commit_edges(target) : CommitOrder{});
   if (row.per_prefix && r.no())
     r.explanation =
         "not opaque (= not du-opaque under unique writes, Thm. 11): " +

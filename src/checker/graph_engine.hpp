@@ -30,10 +30,18 @@
 //      completion chain of checker::real_time_chain_edges, shared with
 //      fast_reject, so the quadratic ≺RT relation costs O(n) edges),
 //      reads-from edges, initial-read ordering edges, criterion edges (TMS2
-//      and read-commit-order edges, activated by the completion),
-//      version-chain edges, and per-read anti-dependency edges to the next
-//      version. If that graph is acyclic, ANY topological order is a valid
-//      serialization (the witness); the engine emits one.
+//      and read-commit-order, in CommitOrder's per-object chain form,
+//      activated by the completion), version-chain edges, and per-read
+//      anti-dependency edges to the next version. If that graph is
+//      acyclic, ANY topological order is a valid serialization (the
+//      witness); the engine emits one.
+//
+//      Node layout: tix 0..n-1, then one node per entry of the completion
+//      order (real-time chain), then the criterion's CommitOrder chain
+//      nodes (none for the other four criteria). Only tix enter the
+//      witness; the Kahn keys put each criterion chain node first as soon
+//      as it is ready, so the witness equals the one the expanded pairs
+//      would give.
 //
 // Version orders are resolved in two tiers:
 //

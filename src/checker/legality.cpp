@@ -79,7 +79,7 @@ std::vector<std::string> verify_serialization(const History& h,
   for (const auto& [a, b] : rules.commit_edges) {
     if (s.committed.test(b) && pos[a] > pos[b]) {
       std::ostringstream msg;
-      msg << "read-commit order violated: T" << h.txn(a).id
+      msg << "commit order violated: T" << h.txn(a).id
           << " must precede committed T" << h.txn(b).id;
       violations.push_back(msg.str());
     }

@@ -25,7 +25,8 @@ struct SerializationRules {
   /// for Lemma-4-style tests.
   std::vector<std::pair<std::size_t, std::size_t>> extra_edges;
   /// Conditional edges (a, b): a before b required only when b is committed
-  /// in the serialization's completion (the RCO and TMS2 rows).
+  /// in the serialization's completion (commit_pairs of the RCO and TMS2
+  /// rows).
   std::vector<std::pair<std::size_t, std::size_t>> commit_edges;
 };
 

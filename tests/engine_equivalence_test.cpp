@@ -33,7 +33,8 @@ SerializationRules rules_for(Criterion c, const History& h) {
   SerializationRules rules;
   // A graph witness for opacity is a du witness (Theorem 11).
   rules.deferred_update = row.deferred_update || row.per_prefix;
-  if (row.commit_edges != nullptr) rules.commit_edges = row.commit_edges(h);
+  if (row.commit_edges != nullptr)
+    rules.commit_edges = commit_pairs(row.commit_edges(h));
   return rules;
 }
 

@@ -7,9 +7,9 @@
 //     set of du-opaque prefixes is downward-closed: binary-search its
 //     maximum, then run per-prefix final-state checks only beyond it.
 //
-// The fast path is an *algorithmic consequence of the paper's results*; the
-// benchmark bench_checker_scaling measures its effect, and tests cross-check
-// both implementations on random histories.
+// The fast path is an *algorithmic consequence of the paper's results*;
+// check_opacity_naive is kept as the reference it is compared against, and
+// tests cross-check both implementations on random histories.
 #pragma once
 
 #include "checker/criteria.hpp"

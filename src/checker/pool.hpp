@@ -1,15 +1,14 @@
 // CheckerPool: batch correctness checking (du-opacity by default, any
-// Criterion via PoolOptions) over a work-stealing thread set.
+// Criterion via PoolOptions) over a set of worker threads.
 //
-// A batch of recorded or parsed histories is fanned out over N workers.
-// Indices are dealt round-robin into per-worker queues; a worker drains its
-// own queue from the front and, when empty, steals from the back of the
-// busiest remaining queue. Each result is written to the slot of its input
-// index, so the returned vector is ordered like the input and — because
-// check_du_opacity is deterministic — identical for every thread count.
+// A batch of recorded or parsed histories is fanned out over N workers that
+// claim histories one at a time from a shared next-index counter. Each
+// result is written to the slot of its input index, so the returned vector
+// is ordered like the input and — because check_with_engine is
+// deterministic — identical for every thread count.
 //
 // The checks themselves share no mutable state (the search engine allocates
-// per call), so workers need no synchronization beyond the queue locks.
+// per call), so workers need no synchronization beyond the counter.
 #pragma once
 
 #include <cstddef>

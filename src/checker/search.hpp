@@ -41,13 +41,14 @@ struct SearchOptions {
   std::vector<std::pair<std::size_t, std::size_t>> commit_edges;
   /// Maximum DFS nodes before giving up.
   std::uint64_t node_budget = 50'000'000;
-  /// Enable the memo table (disable to measure its effect in benchmarks).
+  /// Enable the memo table. Disabling it gives the plain search that tests
+  /// compare the memoized one against.
   bool memoize = true;
   /// Maximum memo-table entries; past the cap failed subtrees are no longer
   /// recorded (sound — memoization only skips work) but lookups continue.
   std::size_t memo_cap = 1u << 22;
-  /// Run the necessary-edge pre-pass (fast_reject.hpp) before searching;
-  /// disable to measure its effect in benchmarks.
+  /// Run the necessary-edge pre-pass (fast_reject.hpp) before searching.
+  /// Disabling it gives the reference search that tests compare against.
   bool use_fast_reject = true;
   /// Candidate ordering heuristic: try transactions in commit order first
   /// (tryC invocation index; falls back to first event). Matches the

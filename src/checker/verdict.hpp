@@ -1,5 +1,5 @@
 // Verdict vectors: evaluate a history under every criterion the paper
-// compares. Powers the figure benchmark, examples, and EXPERIMENTS.md.
+// compares. Used by duo_check, the daemon, perfbench, tests and examples.
 #pragma once
 
 #include <string>

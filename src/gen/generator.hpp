@@ -1,4 +1,4 @@
-// Random history generators for property-based testing and benchmarks.
+// Random history generators for property-based testing and trace generation.
 //
 // Three generators with different guarantees:
 //
@@ -63,8 +63,8 @@ History random_du_history(const GenOptions& opts, util::Xoshiro256& rng);
 /// over the default 8 objects there are none at 2, 3 or 4 threads and 704
 /// at 8. Object choices are hash-scattered, making cross-transaction
 /// reads-from edges common. No RNG — the same arguments always produce the
-/// same history. Shared by bench_engine_scaling, the duo_gen trace
-/// generator, the engine tests, and the CI long-history smoke job.
+/// same history. Shared by the duo_gen trace generator, the engine tests,
+/// and the CI long-history smoke job.
 History deterministic_live_run(std::size_t target_events, int threads = 4,
                                ObjId objects = 8);
 

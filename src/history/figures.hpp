@@ -1,8 +1,8 @@
 // The concrete histories of the paper's Figures 1-6, with the event
 // interleavings reconstructed from the figures and the surrounding prose.
 // These are the paper's "evaluation artifacts": each carries a claimed
-// verdict under the criteria of §3-§4, which tests and the figure benchmark
-// regenerate mechanically.
+// verdict under the criteria of §3-§4, which tests/figures_test.cpp
+// regenerates mechanically.
 //
 // Value conventions: the paper's symbolic v / v' become 1 / 2; the initial
 // value of every object is 0. Object X is X0; object Y is X1.

@@ -66,18 +66,6 @@ struct ExplorerReport {
 ExplorerReport explore_interleavings(const std::vector<Program>& programs,
                                      const ExplorerOptions& opts);
 
-/// Parallel sweep: shards the schedule space over `num_threads` workers
-/// (0 = hardware concurrency). Every worker walks the same deterministic
-/// schedule enumeration but executes only its residue class of schedule
-/// indices, so the merged report — including `first_violation`, which is
-/// the violation with the smallest schedule index — is identical to the
-/// serial explore_interleavings report for any thread count. Requires
-/// `opts.make_stm` to be callable concurrently (each call must return an
-/// independent instance; all factories in this repo qualify).
-ExplorerReport explore_all_parallel(const std::vector<Program>& programs,
-                                    const ExplorerOptions& opts,
-                                    std::size_t num_threads = 0);
-
 /// Number of distinct schedules for the given programs (multinomial
 /// coefficient over step counts, each program contributing ops + 1 steps).
 std::uint64_t schedule_count(const std::vector<Program>& programs);

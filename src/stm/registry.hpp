@@ -4,7 +4,7 @@
 // the conformance/safety matrix needs: the update policy (deferred vs
 // direct — the axis the paper studies), whether aborted writes are rolled
 // back, and the *declared du-opacity expectation* for recorded histories.
-// Every tool, bench, example and test that needs "an STM by name" goes
+// Every tool, example and test that needs "an STM by name" goes
 // through make_stm(), so a backend added here is automatically covered by
 // the registry-parameterized matrix (tests/stm_conformance_test,
 // tests/stm_semantics_test, tests/monitor_tap_test) and surfaces in
@@ -48,8 +48,8 @@ struct BackendInfo {
   /// Mirrors Stm::rolls_back_aborted_writes() of the instances.
   bool rolls_back_aborted_writes = true;
   DuExpectation expected = DuExpectation::kDuOpaque;
-  /// True for the deliberately broken variants (fault injection); perf
-  /// benches skip these, the safety matrix must catch them.
+  /// True for the deliberately broken variants (fault injection); the
+  /// safety matrix must catch them.
   bool fault_injected = false;
   std::vector<std::string> aliases;
 };

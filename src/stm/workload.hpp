@@ -1,4 +1,4 @@
-// Multithreaded workloads for STM testing and benchmarking.
+// Multithreaded workloads for STM testing and for perfbench's stm-tap.
 //
 // Each workload runs `threads` threads, each executing `txns_per_thread`
 // transactions against the given STM (optionally recorded), and returns

@@ -1,5 +1,5 @@
-// ASCII table renderer used by the benchmark harness to print the
-// paper-style verdict and result tables.
+// ASCII table renderer; duo_check --list-stms prints the backend registry
+// with it.
 #pragma once
 
 #include <string>

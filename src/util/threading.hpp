@@ -1,4 +1,5 @@
-// Thread coordination helpers for multithreaded STM tests and benchmarks.
+// Thread coordination helpers for multithreaded STM tests, workloads and
+// the checker pool.
 #pragma once
 
 #include <atomic>
@@ -12,7 +13,7 @@
 
 namespace duo::util {
 
-/// Reusable barrier with a spin phase: benchmark threads should start work
+/// Reusable barrier with a spin phase: worker threads should start work
 /// as close to simultaneously as possible. Falls back to yielding after a
 /// bounded spin so oversubscribed (fewer cores than threads) machines make
 /// progress.
@@ -54,7 +55,7 @@ class SpinBarrier {
 };
 
 /// Monotonic stage-number rendezvous for staging deterministic thread
-/// interleavings in tests and benches (on single-core CI boxes,
+/// interleavings in tests (on single-core CI boxes,
 /// free-running races essentially never fire; staging makes the targeted
 /// overlap happen on every run). signal(s) publishes stage s; await(s)
 /// blocks until some thread has signalled stage >= s.
@@ -82,8 +83,8 @@ class Rendezvous {
 /// fatal by design (tests must not swallow them silently).
 void run_threads(std::size_t n, const std::function<void(std::size_t)>& body);
 
-/// RAII thread that joins on destruction — the sanctioned way for tests,
-/// examples, and benches to spawn a helper thread (the conventions lint
+/// RAII thread that joins on destruction — the sanctioned way for tests
+/// and examples to spawn a helper thread (the conventions lint
 /// bans raw std::thread construction outside src/util/ and src/service/,
 /// where forgetting the join turns into a terminate() at scope exit).
 class ScopedThread {
@@ -150,8 +151,7 @@ class WorkerGang {
 
 /// Resolves a requested worker count: 0 means hardware concurrency
 /// (minimum 1 — hardware_concurrency() may itself report 0). The single
-/// policy point for every "0 = auto" knob (CheckerPool, the parallel
-/// explorer sweep).
+/// policy point for every "0 = auto" knob (CheckerPool, monitor shards).
 std::size_t resolve_threads(std::size_t requested) noexcept;
 
 }  // namespace duo::util

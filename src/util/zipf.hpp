@@ -11,7 +11,7 @@ namespace duo::util {
 /// Samples ranks in [0, n) with probability proportional to 1/(rank+1)^theta.
 /// theta == 0 degenerates to the uniform distribution. Uses a precomputed
 /// cumulative table with binary search: O(n) memory, O(log n) per sample,
-/// which is plenty for the workload sizes used in tests and benchmarks.
+/// which is plenty for the workload sizes used in tests and perfbench.
 class Zipf {
  public:
   Zipf(std::size_t n, double theta);

@@ -115,6 +115,21 @@ TEST(Generator, SplitOpsProduceOverlap) {
   EXPECT_TRUE(overlap);
 }
 
+// The contention claim in deterministic_live_run's header comment: on
+// 20,000-event traces over 8 objects, aborts appear only at 8 threads.
+TEST(Generator, LiveRunAbortsOnlyUnderHighContention) {
+  for (const auto& [threads, aborts] :
+       {std::pair{2, 0}, std::pair{3, 0}, std::pair{4, 0}, std::pair{8, 704}}) {
+    SCOPED_TRACE(threads);
+    const History h = deterministic_live_run(20'000, threads, 8);
+    int aborted = 0;
+    for (const auto& t : h.transactions())
+      aborted += t.status == history::TxnStatus::kAborted;
+    EXPECT_EQ(aborted, aborts);
+    EXPECT_GT(h.num_txns(), 3'300u);
+  }
+}
+
 TEST(Mutate, PreservesWellFormedness) {
   GenOptions opts;
   opts.num_txns = 6;

@@ -1,4 +1,4 @@
-// Tests for the utility layer: RNG, zipf, bitset, stats, table, format.
+// Tests for the utility layer: RNG, zipf, bitset, table, format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include "util/format.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/threading.hpp"
 #include "util/zipf.hpp"
@@ -175,32 +174,6 @@ TEST(Bitset, OrAndAssign) {
   a &= c;
   EXPECT_FALSE(a.test(1));
   EXPECT_TRUE(a.test(2));
-}
-
-TEST(Stats, AccumulatorBasics) {
-  Accumulator acc;
-  for (const double x : {1.0, 2.0, 3.0, 4.0}) acc.add(x);
-  EXPECT_EQ(acc.count(), 4u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(acc.min(), 1.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 4.0);
-  EXPECT_NEAR(acc.variance(), 5.0 / 3.0, 1e-12);
-}
-
-TEST(Stats, AccumulatorEmpty) {
-  Accumulator acc;
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_EQ(acc.mean(), 0.0);
-  EXPECT_EQ(acc.variance(), 0.0);
-}
-
-TEST(Stats, Percentiles) {
-  Percentiles p;
-  for (int i = 1; i <= 100; ++i) p.add(i);
-  EXPECT_NEAR(p.median(), 50.5, 1e-9);
-  EXPECT_NEAR(p.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(p.percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(p.percentile(90), 90.1, 1e-9);
 }
 
 TEST(Table, RendersAligned) {

@@ -6,7 +6,7 @@
 // access. The same arguments always produce the same trace, which makes it
 // suitable for CI jobs — the long-history smoke job generates a 100k-event
 // trace and requires `duo_check --engine graph` to decide it within a tight
-// wall-clock limit — and for reproducing benchmark inputs offline.
+// wall-clock limit — and for reproducing test inputs offline.
 //
 // Usage:
 //   duo_gen [--events N] [--threads T] [--objects K] [--out FILE]

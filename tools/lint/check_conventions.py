@@ -36,7 +36,7 @@ import pathlib
 import re
 import sys
 
-SCAN_DIRS = ["src", "tools", "bench", "examples", "tests"]
+SCAN_DIRS = ["src", "tools", "examples", "tests"]
 EXTENSIONS = {".cpp", ".hpp", ".h", ".cc"}
 
 # Deliberately-bad lint fixtures (tools/lint/fixtures/*/bad/...) are not

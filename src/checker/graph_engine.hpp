@@ -71,7 +71,7 @@
 // edge set *incrementally* as its streaming fast path — the two must stay
 // in lockstep edge-for-edge (real-time sparsification, reads-from,
 // version chains from the canonical install key, anti-dependency skip
-// rule, initial-read edges), which tests/monitor_test.cpp enforces by
+// rule, initial-read edges), which tests/oracle_test.cpp enforces by
 // per-prefix verdict equality. Change the Tier-A derivation here and the
 // monitor's maintenance rules must follow.
 #pragma once

@@ -1,17 +1,19 @@
 // CheckerPool: batch correctness checking (du-opacity by default, any
 // Criterion via PoolOptions) over a set of worker threads.
 //
-// A batch of recorded or parsed histories is fanned out over N workers that
-// claim histories one at a time from a shared next-index counter. Each
-// result is written to the slot of its input index, so the returned vector
-// is ordered like the input and — because check_with_engine is
-// deterministic — identical for every thread count.
+// A batch of histories, or of inputs each worker loads itself, is fanned
+// out over N workers that claim them one at a time from a shared next-index
+// counter. Each result is written to the slot of its input index, so the
+// returned vector is ordered like the input and — because check_with_engine
+// is deterministic — identical for every thread count.
 //
 // The checks themselves share no mutable state (the search engine allocates
 // per call), so workers need no synchronization beyond the counter.
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "checker/engine.hpp"
@@ -40,6 +42,16 @@ class CheckerPool {
   /// verdict for histories[i], regardless of scheduling.
   std::vector<CheckResult> check_batch(
       const std::vector<history::History>& histories) const;
+
+  /// Produces input i's history; nullopt when it cannot (an unreadable or
+  /// unparseable file, say), which leaves results[i] default-constructed.
+  using Loader =
+      std::function<std::optional<history::History>(std::size_t)>;
+
+  /// As above over n inputs, but history i is made by load(i) on the worker
+  /// that claims i, so reading and parsing run in parallel with the checks.
+  std::vector<CheckResult> check_batch(std::size_t n,
+                                       const Loader& load) const;
 
  private:
   PoolOptions opts_;

@@ -13,7 +13,6 @@ using history::EventKind;
 using history::OpKind;
 
 OnlineMonitor::OnlineMonitor(const MonitorOptions& opts) : opts_(opts) {
-  num_objects_ = std::max<ObjId>(opts_.num_objects, 0);
   gc_trigger_ = opts_.gc_retain_events;
   num_shards_ = util::resolve_threads(opts_.shards);
   shards_.resize(num_shards_);
@@ -38,8 +37,6 @@ std::string OnlineMonitor::validate(const Event& e) const {
   if (e.txn < 0) return fail_msg("negative transaction id", e);
   if (e.op == OpKind::kRead || e.op == OpKind::kWrite) {
     if (e.obj < 0) return fail_msg("object id out of range", e);
-    if (opts_.num_objects >= 0 && e.obj >= opts_.num_objects)
-      return fail_msg("object id out of range", e);
   }
   const auto it = tix_of_.find(e.txn);
   const Txn* t = it == tix_of_.end() ? nullptr : &txns_[it->second];
@@ -1137,20 +1134,6 @@ History OnlineMonitor::history_at(ObjId num_objects, TxnId synth_base) const {
 
 History OnlineMonitor::history() const {
   return history_at(num_objects_, max_txn_id_seen_);
-}
-
-std::optional<std::size_t> first_violation_index(
-    const std::vector<Event>& events, const MonitorOptions& opts,
-    std::string* explanation) {
-  OnlineMonitor mon(opts);
-  for (const Event& e : events) {
-    const auto fed = mon.feed(e);
-    DUO_ASSERT(fed.has_value());  // precondition: a well-formed sequence
-    if (fed.value() == Verdict::kNo) break;  // latched; the tail is covered
-  }
-  if (explanation != nullptr && mon.first_violation().has_value())
-    *explanation = mon.explanation();
-  return mon.first_violation();
 }
 
 }  // namespace duo::monitor

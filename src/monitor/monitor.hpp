@@ -82,17 +82,20 @@
 //
 // Because apply replays the identical link/unlink sequence, verdicts,
 // first-violation indices, stats and GC retirement decisions are
-// bit-identical for every shard count (tests/monitor_shard_test.cpp sweeps
-// this); batching only defers GC passes to batch ends, which is invisible
-// to verdicts. Cycle detection stays exact and deterministic: it is the
-// one serialized phase, amortized through IncrementalGraph::add_edges.
+// bit-identical for every shard count (the differential oracle,
+// tests/oracle_test.cpp, sweeps this); batching only defers GC passes to
+// batch ends, which is invisible to verdicts. Cycle detection stays exact
+// and deterministic: it is the one serialized phase, amortized through
+// IncrementalGraph::add_edges.
 //
-// Settled-prefix garbage collection (MonitorOptions::gc) bounds resident
-// state to O(live transactions) for indefinite streams: a transaction is
-// retired — its events, graph node, and per-object bookkeeping dropped —
-// once nothing retained or future can name it. The settlement rule (see
-// docs/service.md for the full argument) requires, with H the first event
-// index of the earliest-started unfinished transaction:
+// Settled-prefix garbage collection (MonitorOptions::gc) retires settled
+// transactions — their events, graph nodes, and per-object bookkeeping
+// dropped — once nothing retained or future can name them. It does not
+// bound resident state: retention still grows with the object count and
+// the trace length (docs/service.md gives the measurements). The
+// settlement rule (see docs/service.md for the full argument) requires,
+// with H the first event index of the earliest-started unfinished
+// transaction:
 //
 //   - finished and t-completed before H, so it real-time-precedes every
 //     live and future transaction;
@@ -119,12 +122,13 @@
 // same event the unretired monitor would (its candidate set is empty,
 // where the unretired monitor walks into the guard's real-time
 // contradiction). Verdicts and first-violation indices with GC on are
-// identical to the unretired monitor (tests/monitor_gc_test.cpp holds this
-// over the generator sweeps and every registry backend).
+// identical to the unretired monitor.
 //
 // The monitor's verdict for every prefix equals check_du_opacity on that
-// prefix (tests/monitor_test.cpp holds this, and the equality of
-// first-violation indices, over random histories and recorded STM runs).
+// prefix. The differential oracle (tests/oracle_test.cpp) holds this, and
+// the equality of first-violation indices with GC on and off, at every
+// batch size and shard count, over generated histories, the paper's
+// figures and recorded STM runs.
 //
 // Index convention: first_violation() is the 0-based index into the fed
 // event sequence (the same convention as History::events() and the batch
@@ -164,10 +168,6 @@ using history::Value;
 struct MonitorOptions {
   /// DFS node budget for the bounded-search fallback.
   std::uint64_t node_budget = 50'000'000;
-  /// Fixed t-object count; -1 grows the object set as events mention new
-  /// ids (per-object state is kept in a sparse map, so large scattered ids
-  /// cost only what is actually touched). Initial values are 0 either way.
-  ObjId num_objects = -1;
   /// Engine routing for the fallback tier (checker/engine.hpp). With the
   /// default kAuto a fallback on a unique-writes prefix is re-checked by
   /// the polynomial graph engine (Tier B) instead of the exponential
@@ -175,9 +175,9 @@ struct MonitorOptions {
   checker::EngineKind engine = checker::EngineKind::kAuto;
   /// Settled-prefix garbage collection: retire transactions nothing
   /// retained or future can name (see the settlement rule in the header
-  /// comment), bounding resident state to O(live transactions) for
-  /// indefinite streams. Off by default: with GC on, history() returns
-  /// only the retained event subsequence.
+  /// comment). This slows, but does not bound, the growth of resident
+  /// state. Off by default: with GC on, history() returns only the
+  /// retained event subsequence.
   bool gc = false;
   /// GC pacing: a collection pass runs once the retained event count grows
   /// past the last pass's count by max(gc_retain_events / 2, 1). 0 runs a
@@ -219,6 +219,8 @@ struct MonitorStats {
   /// True when kNo was latched by the incremental tier itself (an
   /// event-local rejection) rather than by the fallback check.
   bool latched_by_fast_path = false;
+
+  bool operator==(const MonitorStats&) const = default;
 };
 
 class OnlineMonitor {
@@ -617,12 +619,5 @@ class OnlineMonitor {
 
   MonitorStats stats_;
 };
-
-/// Streams `events` through a fresh OnlineMonitor and returns the 0-based
-/// index of the first violating event (nullopt when no prefix latches).
-/// `explanation`, when non-null, receives the latch reason.
-std::optional<std::size_t> first_violation_index(
-    const std::vector<Event>& events, const MonitorOptions& opts = {},
-    std::string* explanation = nullptr);
 
 }  // namespace duo::monitor

@@ -11,10 +11,11 @@
 // A chunk is any run of whitespace-separated trace tokens (producers cut
 // at token boundaries; FollowReader does this). The monitor sees exactly
 // the event order of the original text, so verdicts and first-violation
-// indices are independent of how the text was chunked
-// (tests/service_test.cpp holds this). Nothing is buffered beyond the one
-// chunk being applied; with MonitorOptions::gc on, resident state stays
-// O(live transactions) end to end.
+// indices are independent of how the text was chunked (the differential
+// oracle, tests/oracle_test.cpp, holds this). Nothing is buffered beyond
+// the one chunk being applied; MonitorOptions::gc retires settled
+// transactions, though the monitor's retained state still grows with the
+// object count and the trace length.
 //
 // A latched violation, a parse error, or a malformed event stream makes
 // the pipeline *stop*: the submit() that hit it and every later one return

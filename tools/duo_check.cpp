@@ -630,42 +630,42 @@ int check_single(const std::string& path, const Options& opts) {
   return 2;
 }
 
-/// Batch mode: parse every input, check the parseable ones through the
-/// pool, report per-input lines in input order.
+/// Batch mode: each pool worker reads, parses and checks the inputs it
+/// claims; per-input lines are reported in input order.
 int check_batch(const Options& opts) {
   const std::size_t n = opts.inputs.size();
   std::vector<std::string> errors(n);  // read/parse diagnostics, "" if ok
   std::vector<char> truncated(n, 0);   // `truncated` marker per input
-  std::vector<duo::history::History> histories;
-  std::vector<std::size_t> history_input;  // histories[j] is inputs[...]
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto text = read_input(opts.inputs[i]);
-    if (!text.has_value()) {
-      errors[i] = "cannot read";
-      continue;
-    }
-    std::string parse_error;
-    auto loaded = parse_trace(*text, parse_error);
-    if (!loaded.has_value()) {
-      errors[i] = "parse error: " + parse_error;
-      continue;
-    }
-    truncated[i] = loaded->truncated ? 1 : 0;
-    histories.push_back(std::move(loaded->h));
-    history_input.push_back(i);
-  }
+  // Standard input is read here, in input order: workers must not share
+  // std::cin.
+  std::vector<std::optional<std::string>> stdin_text(n);
+  for (std::size_t i = 0; i < n; ++i)
+    if (opts.inputs[i] == "-") stdin_text[i] = read_input("-");
 
   duo::checker::PoolOptions popts;
   popts.num_threads = opts.jobs;
   popts.criterion = opts.criterion;
   popts.check = opts.check_options();
   duo::checker::CheckerPool pool(popts);
-  const auto results = pool.check_batch(histories);
-
-  std::vector<const duo::checker::CheckResult*> by_input(n, nullptr);
-  for (std::size_t j = 0; j < results.size(); ++j)
-    by_input[history_input[j]] = &results[j];
+  // errors[i] and truncated[i] are written only by the worker that claims
+  // input i, and read after the pool joins.
+  const auto results = pool.check_batch(
+      n, [&](std::size_t i) -> std::optional<duo::history::History> {
+        const auto text = opts.inputs[i] == "-" ? stdin_text[i]
+                                                : read_input(opts.inputs[i]);
+        if (!text.has_value()) {
+          errors[i] = "cannot read";
+          return std::nullopt;
+        }
+        std::string parse_error;
+        auto loaded = parse_trace(*text, parse_error);
+        if (!loaded.has_value()) {
+          errors[i] = "parse error: " + parse_error;
+          return std::nullopt;
+        }
+        truncated[i] = loaded->truncated ? 1 : 0;
+        return std::move(loaded->h);
+      });
 
   const bool du = opts.criterion == duo::checker::Criterion::kDuOpacity;
   const std::string ok_label =
@@ -679,7 +679,7 @@ int check_batch(const Options& opts) {
                   errors[i].c_str());
       continue;
     }
-    const auto& r = *by_input[i];
+    const auto& r = results[i];
     // With --explain-engine each batch line carries the deciding engine.
     const std::string engine_note =
         opts.explain_engine ? " [engine=" + r.engine.engine + "]" : "";
@@ -717,7 +717,7 @@ int check_batch(const Options& opts) {
     }
   }
   // The pool clamps workers to the batch size; report what actually ran.
-  const std::size_t jobs_used = std::min(pool.num_threads(), histories.size());
+  const std::size_t jobs_used = std::min(pool.num_threads(), n);
   const char* ok_word = du ? "du-opaque" : "ok";
   std::printf("checked %zu traces (%zu jobs): %zu %s, %zu violations, "
               "%zu unknown, %zu errors\n",

@@ -1,12 +1,12 @@
 // duo_mond — long-running trace verification daemon.
 //
 // Tails a growing trace file (the compact format of src/history/parser.hpp)
-// indefinitely and maintains the du-opacity verdict online with bounded
-// memory: each chunk read is parsed and fed, in this one thread, through
-// the ingest pipeline (src/service/pipeline.hpp) into an OnlineMonitor
-// with settled-prefix garbage collection on, so resident state tracks the
-// number of LIVE transactions, not the length of the trace. Suitable for
-// watching a production STM's recorder output for hours.
+// indefinitely and maintains the du-opacity verdict online: each chunk
+// read is parsed and fed, in this one thread, through the ingest pipeline
+// (src/service/pipeline.hpp) into an OnlineMonitor with settled-prefix
+// garbage collection on. GC retires settled transactions, so resident
+// state grows far slower than the trace, but it still grows with the
+// object count and the trace length (docs/service.md gives measurements).
 //
 // Behavior:
 //   - Follows the file with exponential-backoff polling (1ms..250ms).
